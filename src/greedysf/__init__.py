@@ -10,6 +10,7 @@ from .errors import (
 )
 from .graph import (
     Ball,
+    Distances,
     PathResult,
     WeightedGraph,
     girth,
@@ -35,9 +36,8 @@ from .greedy import (
     Rule,
     RunTrace,
     apply_contraction_rule,
-    contraction_of,
+    equal_cost_classes,
     pairs_below_contraction,
-    partition_cost_classes,
     run_greedy,
 )
 from .opt import (
@@ -54,7 +54,7 @@ from .dualfit import (
     moore_bound_audit,
     verify_class_duals,
 )
-from .canonical import is_canonical
+from .canonical import canonical_report
 from .balanced import (
     BalancedDual,
     ball_neighborhood,

@@ -33,8 +33,8 @@ from .exact import (
     lg_plus,
     parse_fraction,
 )
-from .graph import Ball, open_ball, scaled_distances
-from .greedy import RunTrace
+from .graph import Distances, open_ball
+from .greedy import RunTrace, equal_cost_classes
 from .instances import Instance
 from .canonical import canonical_report
 from .dualfit import build_class_duals
@@ -91,23 +91,17 @@ class BalancedDual:
 
 def trace_classes(trace: RunTrace) -> tuple[ClassInfo, ...]:
     """Exact-cost classes of a trace, most expensive first, arrival order inside."""
-    groups: dict[Fraction, list[int]] = {}
-    for i, c in enumerate(trace.costs):
-        if c <= 0:
-            raise InputError("canonical traces cannot contain zero-cost pairs")
-        groups.setdefault(c, []).append(i)
-    out = []
-    for idx, cost in enumerate(sorted(groups, reverse=True), start=1):
-        ids = tuple(sorted(groups[cost]))
-        out.append(
-            ClassInfo(
-                index=idx,
-                cost=cost,
-                pair_ids=ids,
-                radius_full=cost / (8 * lg_plus(len(ids))),
-            )
+    if any(c <= 0 for c in trace.costs):
+        raise InputError("canonical traces cannot contain zero-cost pairs")
+    return tuple(
+        ClassInfo(
+            index=idx,
+            cost=cost,
+            pair_ids=tuple(ids),
+            radius_full=cost / (8 * lg_plus(len(ids))),
         )
-    return tuple(out)
+        for idx, (cost, ids) in enumerate(equal_cost_classes(trace), start=1)
+    )
 
 
 def _class_of_pair(classes: tuple[ClassInfo, ...]) -> dict[int, int]:
@@ -134,27 +128,16 @@ def ball_neighborhood(
     eps = Fraction(1, 200 * L * L)
     up = ball.radius * (1 + eps)
     low = ball.radius * (1 - eps)
-    dist, scale = scaled_distances(inst.graph, ball.center)
-
-    def le(d, bound: Fraction) -> bool:
-        if d is None:
-            return False
-        return d * bound.denominator <= bound.numerator * scale
-
-    def ge(d, bound: Fraction) -> bool:
-        if d is None:
-            return True
-        return d * bound.denominator >= bound.numerator * scale
+    dist = Distances(inst.graph, ball.center)
 
     members, border, interior = [], [], []
     for i, pair in enumerate(inst.pairs):
         if class_of.get(i, 0) <= ball.class_index:
             continue
-        ds, dt = dist[pair.s], dist[pair.t]
-        if not (le(ds, up) or le(dt, up)):
+        if dist.side(pair.s, up) > 0 and dist.side(pair.t, up) > 0:
             continue
         members.append(i)
-        if ge(ds, low) or ge(dt, low):
+        if dist.side(pair.s, low) >= 0 or dist.side(pair.t, low) >= 0:
             border.append(i)
         else:
             interior.append(i)
@@ -533,9 +516,8 @@ def induction_bound_audit(
     lhs = trace.total_cost
     masses: dict[int, Fraction] = {cls.index: Fraction(0) for cls in bd.classes}
     for b in bd.balls:
-        members = open_ball(inst.graph, b.center, b.radius).members
         masses[b.class_index] += opt_weight_in_ball(
-            opt, Ball(b.center, b.radius, members), inst.graph
+            opt, open_ball(inst.graph, b.center, b.radius), inst.graph
         )
     first = Fraction(0)
     second = Fraction(0)

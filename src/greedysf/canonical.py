@@ -118,7 +118,3 @@ def canonical_report(
         params=params,
         offenders=tuple(offenders),
     )
-
-
-def is_canonical(inst: Instance, trace: RunTrace, alpha, delta: int) -> CanonicalReport:
-    return canonical_report(inst, trace, Fraction(alpha), delta)

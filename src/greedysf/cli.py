@@ -11,12 +11,13 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import GreedysfError
-from .exact import format_fraction, frac_decimal
+from .errors import GreedysfError, InputError, ParseError
+from .exact import floor_log2, format_fraction, frac_decimal, parse_fraction
 from .graph import default_eta, subdivide_edges
 from .instances import (
     Instance,
@@ -89,6 +90,13 @@ def _write(path: str, text: str):
 
 def _load_instance(path: str) -> Instance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
+
+
+def _load_json(path: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def _subdivided(inst: Instance) -> Instance:
@@ -237,9 +245,7 @@ def cmd_certify(args) -> int:
         payload = {"opt": format_fraction(opt_w), "classes": reports}
     elif kind == "balanced":
         if args.certificate:
-            bd = obj_to_balanced(
-                json.loads(Path(args.certificate).read_text(encoding="utf-8"))
-            )
+            bd = obj_to_balanced(_load_json(args.certificate))
         else:
             bd = build_balanced(
                 trace, inst, K=args.K or inst.k, delta=args.delta, alpha=args.alpha
@@ -286,7 +292,7 @@ def cmd_transform(args) -> int:
     inst = _load_instance(args.instance)
     trace = _trace_for(args, inst)
     if args.kind == "canonical":
-        out, receipt = to_canonical(inst, trace, Fraction(args.alpha), args.delta)
+        out, receipt = to_canonical(inst, trace, args.alpha, args.delta)
     else:
         out, receipt = subdivide_pairs_rule3(inst, trace)
     _write(args.instance_out, serialize_instance(out))
@@ -296,6 +302,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    needed = "certificate" if args.kind == "conservation" else "instance"
+    if getattr(args, needed) is None:
+        raise InputError(f"audit --kind {args.kind} needs --{needed}")
     if args.kind == "moore":
         inst = _load_instance(args.instance)
         rep = moore_bound_audit(inst.graph)
@@ -342,7 +351,9 @@ def cmd_audit(args) -> int:
         )
         return 0 if ok else 1
     if args.kind == "conservation":
-        obj = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
+        obj = _load_json(args.certificate)
+        if not isinstance(obj, dict):
+            raise ParseError("certificate must be a JSON object")
         cert = obj.get("certificate", obj)
         totals = [e.get("charged_total") for e in cert.get("step_log", [])]
         ok = len(set(totals)) <= 1
@@ -384,10 +395,7 @@ def cmd_report(args) -> int:
             if value == "inf":
                 label = "inf"
             else:
-                frac = Fraction(*map(int, value.split("/")))
-                e = 0
-                while 2 ** (e + 1) <= frac:
-                    e += 1
+                e = floor_log2(parse_fraction(value))
                 label = f"[2^{e},2^{e + 1})"
             buckets[label] = buckets.get(label, 0) + 1
     with open(
@@ -399,6 +407,14 @@ def cmd_report(args) -> int:
             writer.writerow([label, buckets[label]])
     print(f"wrote {out_dir / 'ratio_vs_k.csv'} and {out_dir / 'contraction_histogram.csv'}")
     return 0
+
+
+def _alpha(text: str) -> Fraction:
+    """An integer or an integer "num/den" with a nonzero denominator."""
+    m = re.fullmatch(r"(-?[0-9]+)(?:/(-?[0-9]+))?", text)
+    if m is None or (m.group(2) is not None and int(m.group(2)) == 0):
+        raise argparse.ArgumentTypeError(f"not an integer or num/den: {text!r}")
+    return Fraction(int(m.group(1)), int(m.group(2) or 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--instance", required=True)
     c.add_argument("--rule", default="3")
     c.add_argument("--trace", help="optional trace file, checked for consistency")
-    c.add_argument("--alpha", default="1/1")
+    c.add_argument("--alpha", type=_alpha, default="1/1")
     c.add_argument("--delta", type=int, default=200)
     c.add_argument("--K", type=int)
     c.add_argument("--certificate", help="verify this certificate instead of building")
@@ -451,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--instance", required=True)
     t.add_argument("--rule", default="3")
     t.add_argument("--trace", help="optional trace file, checked for consistency")
-    t.add_argument("--alpha", default="2/1")
+    t.add_argument("--alpha", type=_alpha, default="2/1")
     t.add_argument("--delta", type=int, default=300)
     t.add_argument("--instance-out", dest="instance_out", required=True)
     t.add_argument("--receipt-out", dest="receipt_out", required=True)
@@ -477,13 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "certify":
-        args.alpha = Fraction(*map(int, args.alpha.split("/"))) if "/" in args.alpha else Fraction(int(args.alpha))
-    if args.command == "transform":
-        args.alpha = Fraction(*map(int, args.alpha.split("/"))) if "/" in args.alpha else Fraction(int(args.alpha))
     try:
         return args.func(args)
-    except GreedysfError as exc:
+    except (GreedysfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

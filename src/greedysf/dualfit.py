@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import InputError, InternalConsistencyError
 from .exact import format_fraction, lg_plus
-from .graph import WeightedGraph, girth, open_ball, scaled_distances
+from .graph import Distances, WeightedGraph, girth, open_ball
 from .greedy import RunTrace
 from .instances import Instance
 
@@ -198,7 +198,8 @@ def verify_class_duals(
             centers_ok = False
             offenders.append(f"ball at {center} is not an endpoint of pair {p}")
 
-    member_sets = [open_ball(g, c, coll.radius).members for c, _ in coll.balls]
+    dists = [Distances(g, c) for c, _ in coll.balls]
+    member_sets = [d.ball(coll.radius).members for d in dists]
     disjoint = True
     for i in range(len(member_sets)):
         for j in range(i + 1, len(member_sets)):
@@ -210,10 +211,7 @@ def verify_class_duals(
     for idx, (center, p) in enumerate(coll.balls):
         pair = inst.pairs[p]
         mate = pair.t if center == pair.s else pair.s
-        dist, scale = scaled_distances(g, center)
-        d = dist[mate]
-        within = d is None or d * coll.radius.denominator > coll.radius.numerator * scale
-        if not within:
+        if dists[idx].side(mate, coll.radius) <= 0:
             mates_ok = False
             offenders.append(f"ball {idx} radius reaches its mate distance")
 

@@ -175,27 +175,75 @@ def shortest_path(g: WeightedGraph, s: int, t: int) -> PathResult:
     return PathResult(Fraction(dist[t], scale), tuple(path))
 
 
+class Distances:
+    """Exact distances from one center, for comparisons against radii.
+
+    Holds one shortest-path run as integer distances over the graph's common
+    scale, so every ball-side question is answered by cross-multiplication
+    without building a Fraction per vertex.
+    """
+
+    __slots__ = ("center", "dist", "scale")
+
+    def __init__(self, g: WeightedGraph, center: int):
+        self.center = center
+        self.dist, self.scale = scaled_distances(g, center)
+
+    def side(self, v: int, radius: Fraction) -> int:
+        """-1 strictly inside the radius, 0 on the sphere, 1 beyond or unreachable."""
+        d = self.dist[v]
+        if d is None:
+            return 1
+        lhs, rhs = d * radius.denominator, radius.numerator * self.scale
+        return (lhs > rhs) - (lhs < rhs)
+
+    def ball(self, radius: Fraction) -> Ball:
+        """Open ball of this center; radius 0 gives no members."""
+        radius = Fraction(radius)
+        if radius < 0:
+            raise InputError("ball radius must be nonnegative")
+        rden, bound = radius.denominator, radius.numerator * self.scale
+        members = frozenset(
+            v for v, d in enumerate(self.dist) if d is not None and d * rden < bound
+        )
+        return Ball(self.center, radius, members)
+
+
 def open_ball(g: WeightedGraph, center: int, radius: Fraction) -> Ball:
     """Open ball of the given center and radius; radius 0 gives no members."""
-    radius = Fraction(radius)
-    if radius < 0:
-        raise InputError("ball radius must be nonnegative")
-    dist, scale = scaled_distances(g, center)
-    rnum, rden = radius.numerator, radius.denominator
-    members = frozenset(
-        v for v, d in enumerate(dist) if d is not None and d * rden < rnum * scale
-    )
-    return Ball(center, radius, members)
+    return Distances(g, center).ball(radius)
 
 
-def sphere(g: WeightedGraph, center: int, radius: Fraction) -> frozenset[int]:
-    """Vertices at distance exactly `radius` from the center."""
-    radius = Fraction(radius)
-    dist, scale = scaled_distances(g, center)
-    rnum, rden = radius.numerator, radius.denominator
-    return frozenset(
-        v for v, d in enumerate(dist) if d is not None and d * rden == rnum * scale
-    )
+class UnionFind:
+    """Disjoint sets over hashable items; an item joins on first touch."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the sets of a and b; False if they were one set already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+    def groups(self, items=None) -> list[set]:
+        """Sets of the given items (default: every touched item), by least member."""
+        out: dict = {}
+        for x in self.parent if items is None else items:
+            out.setdefault(self.find(x), set()).add(x)
+        return sorted(out.values(), key=min)
 
 
 SUBDIVISION_EDGE_LIMIT = 2_000_000
@@ -270,18 +318,8 @@ def induced_zero_border(
     radius = Fraction(radius)
     if radius < 0:
         raise InputError("radius must be nonnegative")
-    dist, scale = scaled_distances(g, center)
-    rnum, rden = radius.numerator, radius.denominator
-
-    def side(v):
-        # -1 inside, 0 on the sphere, +1 outside (unreachable counts outside)
-        d = dist[v]
-        if d is None:
-            return 1
-        lhs, rhs = d * rden, rnum * scale
-        return -1 if lhs < rhs else (0 if lhs == rhs else 1)
-
-    sides = [side(v) for v in range(g.n)]
+    dist = Distances(g, center)
+    sides = [dist.side(v, radius) for v in range(g.n)]
     for u, v, _ in g.edges:
         if {sides[u], sides[v]} == {-1, 1}:
             raise InputError(

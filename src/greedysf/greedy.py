@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, RunError
-from .exact import floor_log2, format_fraction, ceil_log2
+from .exact import format_fraction
 from .graph import _dijkstra, distances_from
 from .instances import Instance
 
@@ -45,7 +45,6 @@ class RunTrace:
     shortcuts_added: list[list[tuple[int, int]]]
     contraction: list[Optional[Fraction]]  # None encodes infinity
     total_cost: Fraction
-    class_index: list[Optional[int]] = field(default_factory=list)
 
     @property
     def k(self) -> int:
@@ -124,17 +123,23 @@ def run_greedy(inst: Instance, rule: Rule) -> RunTrace:
         shortcuts_added=added,
         contraction=contraction,
         total_cost=sum(costs, Fraction(0)),
-        class_index=[None] * len(costs),
     )
 
 
-def _contractions(inst: Instance, costs) -> list[Optional[Fraction]]:
+def pair_distances(inst: Instance) -> list[Optional[Fraction]]:
+    """Original-graph distance of every pair, None where disconnected."""
     dist_cache: dict[int, list] = {}
     out = []
-    for pair, cost in zip(inst.pairs, costs):
+    for pair in inst.pairs:
         if pair.s not in dist_cache:
             dist_cache[pair.s] = distances_from(inst.graph, pair.s)
-        d = dist_cache[pair.s][pair.t]
+        out.append(dist_cache[pair.s][pair.t])
+    return out
+
+
+def _contractions(inst: Instance, costs) -> list[Optional[Fraction]]:
+    out = []
+    for pair, cost, d in zip(inst.pairs, costs, pair_distances(inst)):
         if cost == 0:
             out.append(None)
         else:
@@ -144,17 +149,6 @@ def _contractions(inst: Instance, costs) -> list[Optional[Fraction]]:
                 )
             out.append(d / cost)
     return out
-
-
-def contraction_of(trace: RunTrace, inst: Instance, i: int) -> Optional[Fraction]:
-    """Original-graph distance over traced cost; None means infinite."""
-    if not (0 <= i < trace.k):
-        raise InputError(f"pair index {i} out of range")
-    pair = inst.pairs[i]
-    if trace.costs[i] == 0:
-        return None
-    d = distances_from(inst.graph, pair.s)[pair.t]
-    return d / trace.costs[i]
 
 
 def pairs_below_contraction(trace: RunTrace, alpha: Fraction) -> set[int]:
@@ -169,62 +163,11 @@ def pairs_below_contraction(trace: RunTrace, alpha: Fraction) -> set[int]:
     }
 
 
-@dataclass(frozen=True)
-class CostClassPartition:
-    anchor: Fraction
-    classes: dict[int, frozenset[int]]
-    residual: frozenset[int]
-
-    def class_of(self, i: int) -> Optional[int]:
-        for j, members in self.classes.items():
-            if i in members:
-                return j
-        return None
-
-
-def partition_cost_classes(
-    trace: RunTrace, class_cap: Optional[int] = None, anchor: Optional[Fraction] = None
-) -> CostClassPartition:
-    """Bucket pairs by floor(log2(anchor / cost)); residual collects the rest.
-
-    The anchor defaults to the largest pair cost; passing the exact optimum
-    weight instead shifts every index uniformly.  Pairs of cost zero, or of
-    class index >= class_cap (default ceil(log2 k) + 1), land in the residual.
-    """
-    if not trace.costs:
-        raise InputError("empty trace")
-    positive = [c for c in trace.costs if c > 0]
-    if not positive:
-        raise InputError("all costs are zero; no cost classes")
-    anchor = Fraction(anchor) if anchor is not None else max(positive)
-    if class_cap is None:
-        class_cap = ceil_log2(trace.k) + 1 if trace.k > 1 else 1
-    classes: dict[int, set[int]] = {}
-    residual = set()
-    for i, c in enumerate(trace.costs):
-        if c == 0:
-            residual.add(i)
-            continue
-        j = floor_log2(anchor / c)
-        if j >= class_cap or j < 0:
-            residual.add(i)
-        else:
-            classes.setdefault(j, set()).add(i)
-            trace.class_index[i] = j
-    for i in residual:
-        trace.class_index[i] = None
-    return CostClassPartition(
-        anchor=anchor,
-        classes={j: frozenset(m) for j, m in sorted(classes.items())},
-        residual=frozenset(residual),
-    )
-
-
 def equal_cost_classes(trace: RunTrace) -> list[tuple[Fraction, list[int]]]:
     """Group pair indices by exact traced cost, most expensive group first.
 
-    Zero-cost pairs are dropped.  This is the grouping the per-class dual
-    construction consumes; geometric buckets are only used for reporting.
+    Zero-cost pairs are dropped.  This is the one cost-class grouping: the
+    per-class dual certificates and the balanced dual's classes both use it.
     """
     groups: dict[Fraction, list[int]] = {}
     for i, c in enumerate(trace.costs):
@@ -292,5 +235,4 @@ def parse_trace(text: str) -> RunTrace:
         shortcuts_added=added,
         contraction=contraction,
         total_cost=total,
-        class_index=[None] * len(costs),
     )

@@ -64,22 +64,14 @@ class MateMap:
     """
 
     def __init__(self, inst: Instance):
-        self.pairs = inst.pairs
         self._by_vertex: dict[int, list[tuple[int, int]]] = {}
         for i, p in enumerate(inst.pairs):
             self._by_vertex.setdefault(p.s, []).append((i, p.t))
             self._by_vertex.setdefault(p.t, []).append((i, p.s))
 
-    def mate(self, pair_index: int, side: int) -> int:
-        p = self.pairs[pair_index]
-        return p.t if side == 0 else p.s
-
     def occurrences(self, vertex: int) -> list[tuple[int, int]]:
         """List of (pair index, mate vertex) for every occurrence of vertex."""
         return list(self._by_vertex.get(vertex, []))
-
-    def is_terminal(self, vertex: int) -> bool:
-        return vertex in self._by_vertex
 
 
 def duplicate_shared_terminals(inst: Instance) -> tuple[Instance, dict[tuple[int, int], int]]:

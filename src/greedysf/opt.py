@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 from .errors import CapExceededError, InputError
 from .exact import format_fraction
-from .graph import Ball, WeightedGraph, scaled_distances
+from .graph import Ball, Distances, UnionFind, WeightedGraph
 from .instances import Instance, MateMap
 
 DEFAULT_PAIR_CAP = 8
@@ -58,41 +58,15 @@ def serialize_solution(sol: SteinerSolution) -> str:
 
 
 def _is_forest(g: WeightedGraph) -> bool:
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    uf = UnionFind()
+    return all(uf.union(u, v) for u, v, _ in g.edges)
 
 
 def _terminal_components(g: WeightedGraph, edge_indices, terminals) -> tuple[frozenset[int], ...]:
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind()
     for idx in edge_indices:
-        u, v, _ = g.edges[idx]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, set[int]] = {}
-    for t in terminals:
-        groups.setdefault(find(t), set()).add(t)
-    return tuple(frozenset(s) for s in sorted(groups.values(), key=min))
+        uf.union(g.edges[idx][0], g.edges[idx][1])
+    return tuple(frozenset(s) for s in uf.groups(terminals))
 
 
 def _solution(g: WeightedGraph, edge_indices, terminals) -> SteinerSolution:
@@ -423,20 +397,11 @@ def opt_weight_in_ball(sol: SteinerSolution, ball: Ball, g: WeightedGraph) -> Fr
     An edge with one endpoint strictly inside and one strictly outside means
     the graph was not subdivided finely enough: precondition error.
     """
-    dist, scale = scaled_distances(g, ball.center)
-    rnum, rden = ball.radius.numerator, ball.radius.denominator
-
-    def side(v):
-        d = dist[v]
-        if d is None:
-            return 1
-        lhs, rhs = d * rden, rnum * scale
-        return -1 if lhs < rhs else (0 if lhs == rhs else 1)
-
+    dist = Distances(g, ball.center)
     total = Fraction(0)
     for idx in sol.edge_indices:
         u, v, w = g.edges[idx]
-        su, sv = side(u), side(v)
+        su, sv = dist.side(u, ball.radius), dist.side(v, ball.radius)
         if {su, sv} == {-1, 1}:
             raise InputError(
                 f"solution edge ({u},{v}) crosses the ball boundary; subdivide first"
@@ -481,11 +446,9 @@ def dual_lower_bound_audit(
     """
     g = inst.graph
     offenders: list[str] = []
-    member_sets = []
-    for center, radius in balls:
-        from .graph import open_ball
-
-        member_sets.append(open_ball(g, center, Fraction(radius)).members)
+    radii = [Fraction(radius) for _, radius in balls]
+    dists = [Distances(g, center) for center, _ in balls]
+    member_sets = [d.ball(r).members for d, r in zip(dists, radii)]
     disjoint = True
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
@@ -494,24 +457,16 @@ def dual_lower_bound_audit(
                 offenders.append(f"balls {i} and {j} share a vertex")
     centered = True
     radii_ok = True
-    for i, (center, radius) in enumerate(balls):
+    for i, (center, _) in enumerate(balls):
         occ = mates.occurrences(center)
         if not occ:
             centered = False
             offenders.append(f"ball {i} center {center} is not a terminal")
             continue
-        dist, scale = scaled_distances(g, center)
-        radius = Fraction(radius)
-        ok = False
-        for _, mate in occ:
-            d = dist[mate]
-            if d is None or d * radius.denominator > radius.numerator * scale:
-                ok = True
-                break
-        if not ok:
+        if not any(dists[i].side(mate, radii[i]) > 0 for _, mate in occ):
             radii_ok = False
             offenders.append(f"ball {i} radius is not below its mate distance")
-    total = sum((Fraction(r) for _, r in balls), Fraction(0))
+    total = sum(radii, Fraction(0))
     premises = disjoint and centered and radii_ok
     return DualLowerBoundReport(
         balls_disjoint=disjoint,

@@ -10,19 +10,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError
 from .exact import floor_log2, format_fraction, pow2
-from .graph import WeightedGraph, distances_from, induced_zero_border, shortest_path
+from .graph import UnionFind, induced_zero_border, shortest_path
 from .greedy import (
     MetricState,
     Rule,
     RunTrace,
+    pair_distances,
     pairs_below_contraction,
     run_greedy,
 )
-from .instances import Instance, MateMap, make_instance
+from .instances import Instance, make_instance
 from .balanced import DualBall, ball_neighborhood
 
 
@@ -225,42 +225,8 @@ def extract_sub_instance(
 
 # -- width and potential -------------------------------------------------------
 
-def _components_of_edges(
-    g: WeightedGraph, edge_indices
-) -> list[set[int]]:
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ei in edge_indices:
-        u, v, _ = g.edges[ei]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, set[int]] = {}
-    for v in parent:
-        groups.setdefault(find(v), set()).add(v)
-    return sorted(groups.values(), key=min)
-
-
-def _pair_distances(inst: Instance) -> list[Optional[Fraction]]:
-    cache: dict[int, list] = {}
-    out = []
-    for p in inst.pairs:
-        if p.s not in cache:
-            cache[p.s] = distances_from(inst.graph, p.s)
-        out.append(cache[p.s][p.t])
-    return out
-
-
-def _component_width(vertices: set[int], inst: Instance) -> Fraction:
+def _component_width(vertices: set[int], inst: Instance, dists) -> Fraction:
     best = Fraction(0)
-    dists = _pair_distances(inst)
     for i, p in enumerate(inst.pairs):
         if p.s in vertices or p.t in vertices:
             d = dists[i]
@@ -271,7 +237,7 @@ def _component_width(vertices: set[int], inst: Instance) -> Fraction:
     return best
 
 
-def tree_width(tree_edges, inst: Instance, mates: MateMap) -> Fraction:
+def tree_width(tree_edges, inst: Instance) -> Fraction:
     """Largest original-graph mate distance among terminals the tree touches.
 
     `tree_edges` are edge indices into the instance graph and should form one
@@ -281,32 +247,23 @@ def tree_width(tree_edges, inst: Instance, mates: MateMap) -> Fraction:
     for ei in tree_edges:
         u, v, _ = inst.graph.edges[ei]
         vertices.update((u, v))
-    return _component_width(vertices, inst)
+    return _component_width(vertices, inst, pair_distances(inst))
 
 
 def forest_potential(forest_edges, inst: Instance) -> Fraction:
     """Forest weight plus the total width of its components."""
     g = inst.graph
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind()
     weight = Fraction(0)
     for ei in set(forest_edges):
         u, v, w = g.edges[ei]
-        if find(u) == find(v):
+        if not uf.union(u, v):
             raise InputError("edge set contains a cycle; not a forest")
-        parent[find(u)] = find(v)
         weight += w
-    total = weight
-    for comp in _components_of_edges(g, set(forest_edges)):
-        total += _component_width(comp, inst)
-    return total
+    dists = pair_distances(inst)
+    return weight + sum(
+        (_component_width(comp, inst, dists) for comp in uf.groups()), Fraction(0)
+    )
 
 
 def augment_subdivided_solution(
@@ -327,7 +284,7 @@ def augment_subdivided_solution(
     """
     if receipt.kind != "subdivide_rule3":
         raise InputError("expected the receipt of a pair subdivision")
-    dists = _pair_distances(inst)
+    dists = pair_distances(inst)
     if any(d is None for d in dists):
         raise InputError("some pair is disconnected in the graph")
     costs = trace.costs
@@ -366,28 +323,14 @@ def augment_subdivided_solution(
     log = {"steps": [], "initial_potential": format_fraction(phi)}
     children_of = {i: list(ch) for i, ch in receipt.pair_map}
 
-    def connected(a: int, b: int, edges: set[int]) -> bool:
-        parent: dict[int, int] = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ei in edges:
-            u, v, _ = g.edges[ei]
-            parent[find(u)] = find(v)
-        return find(a) == find(b)
-
     for i in range(inst.k):
+        uf = UnionFind()
+        for ei in forest:
+            uf.union(g.edges[ei][0], g.edges[ei][1])
         missing = [
             c
             for c in children_of[i]
-            if not connected(
-                subdivided.pairs[c].s, subdivided.pairs[c].t, forest
-            )
+            if uf.find(subdivided.pairs[c].s) != uf.find(subdivided.pairs[c].t)
         ]
         if missing:
             for c in missing:

@@ -8,7 +8,7 @@ from greedysf.exact import lg_plus
 from greedysf.graph import WeightedGraph
 from greedysf.greedy import Rule, run_greedy
 from greedysf.instances import gen_canonical_nested, make_instance
-from greedysf.canonical import is_canonical
+from greedysf.canonical import canonical_report
 from greedysf.balanced import (
     BalancedDual,
     DualBall,
@@ -42,7 +42,7 @@ def min_delta(K, alpha=1):
 
 def test_is_canonical_on_generator_output():
     inst, trace = canonical_setup(2, 2, 200)
-    report = is_canonical(inst, trace, 1, 200)
+    report = canonical_report(inst, trace, F(1), 200)
     assert report.is_canonical
     assert report.params.class_indices == (1, 2)
 
@@ -51,14 +51,14 @@ def test_is_canonical_missing_schedule():
     g = WeightedGraph(2, [(0, 1, F(4))])
     inst = make_instance(g, [(0, 1)])
     trace = run_greedy(inst, Rule.RULE3)
-    report = is_canonical(inst, trace, 1, 20)
+    report = canonical_report(inst, trace, F(1), 20)
     assert not report.schedule_announces_costs
     assert report.costs_on_separated_grid and report.low_contraction
 
 
 def test_is_canonical_flags_high_contraction():
     inst, trace = canonical_setup(1, 2, 20)
-    report = is_canonical(inst, trace, 1, 20)
+    report = canonical_report(inst, trace, F(1), 20)
     assert report.is_canonical
     # break the grid: mix in an off-grid pair cost via a new instance
     g = WeightedGraph(4, [(0, 1, F(4)), (2, 3, F(3))])
@@ -66,13 +66,13 @@ def test_is_canonical_flags_high_contraction():
         g, [(0, 1), (2, 3)], [[(0, 1, F(4))], [(2, 3, F(3))]]
     )
     trace2 = run_greedy(inst2, Rule.RULE3)
-    report2 = is_canonical(inst2, trace2, 1, 20)
+    report2 = canonical_report(inst2, trace2, F(1), 20)
     assert not report2.costs_on_separated_grid
     # contraction above alpha: a reused route makes a pair cheaper than d_G
     g3 = WeightedGraph(4, [(0, 1, F(4)), (1, 2, F(4)), (0, 3, F(4)), (3, 2, F(4))])
     inst3 = make_instance(g3, [(0, 1), (1, 2), (0, 2)])
     trace3 = run_greedy(inst3, Rule.RULE2)
-    report3 = is_canonical(inst3, trace3, 1, 20)
+    report3 = canonical_report(inst3, trace3, F(1), 20)
     assert not report3.low_contraction
     assert any("contraction" in o for o in report3.offenders)
 

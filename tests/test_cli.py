@@ -1,10 +1,29 @@
 import json
+import shlex
+from pathlib import Path
+
+import pytest
 
 from greedysf.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv):
+    # argparse rejects bad arguments by raising SystemExit
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_generate_girth(tmp_path, capsys):
@@ -224,3 +243,72 @@ def test_report_schema_mismatch(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert run_cli("report", "--runs", bad, "--out-dir", tmp_path / "r") == 2
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 13 and all(argv[0] == "greedysf" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)
+
+
+@pytest.mark.parametrize("alpha", ["abc", "1/0", "1.5", "1/"])
+def test_certify_bad_alpha_exits_2(tmp_path, capsys, alpha):
+    inst = tmp_path / "pet.json"
+    run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
+    capsys.readouterr()
+    assert exit_code("certify", "--kind", "balanced", "--instance", inst, "--alpha", alpha) == 2
+    assert "argument --alpha" in capsys.readouterr().err
+
+
+def test_transform_bad_alpha_exits_2(tmp_path):
+    inst = tmp_path / "pet.json"
+    run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
+    assert (
+        exit_code(
+            "transform", "--kind", "canonical", "--instance", inst, "--alpha", "2/0",
+            "--instance-out", tmp_path / "o.json", "--receipt-out", tmp_path / "r.json",
+        )
+        == 2
+    )
+
+
+def test_missing_instance_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli("certify", "--kind", "class-duals", "--instance", missing) == 2
+    assert_one_line_error(capsys)
+
+
+def test_missing_certificate_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli("audit", "--kind", "conservation", "--certificate", missing) == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_malformed_certificate_exits_2(tmp_path, capsys, text):
+    canon = tmp_path / "canon.json"
+    run_cli(
+        "generate", "canonical", "--classes", 2, "--per-class", 2,
+        "--delta", 200, "--seed", 1, "--out", canon,
+    )
+    cert = tmp_path / "bad.json"
+    cert.write_text(text)
+    capsys.readouterr()
+    assert run_cli("audit", "--kind", "conservation", "--certificate", cert) == 2
+    assert_one_line_error(capsys)
+    rc = run_cli(
+        "certify", "--kind", "balanced", "--instance", canon,
+        "--delta", 200, "--alpha", "1", "--certificate", cert,
+    )
+    assert rc == 2
+    assert_one_line_error(capsys)
+
+
+def test_audit_moore_without_instance_exits_2(capsys):
+    assert run_cli("audit", "--kind", "moore") == 2
+    assert_one_line_error(capsys)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from greedysf.errors import InputError, ParseError
 from greedysf.graph import (
+    Distances,
     WeightedGraph,
     default_eta,
     distances_from,
@@ -15,7 +16,6 @@ from greedysf.graph import (
     parse_graph,
     serialize_graph,
     shortest_path,
-    sphere,
     subdivide_edges,
 )
 
@@ -132,6 +132,16 @@ def test_open_ball_examples():
     assert open_ball(g, 0, F(5, 2)).members == {0, 1, 2}
 
 
+def test_distances_side_examples():
+    # rational weights exercise the common scale; vertex 3 is unreachable
+    g = WeightedGraph(4, [(0, 1, F(1, 3)), (1, 2, F(1, 2))])
+    dist = Distances(g, 0)
+    assert [dist.side(v, F(5, 6)) for v in range(4)] == [-1, -1, 0, 1]
+    assert dist.ball(F(5, 6)).members == {0, 1}
+    with pytest.raises(InputError):
+        dist.ball(F(-1))
+
+
 @given(random_graphs())
 @settings(max_examples=40, deadline=None)
 def test_triangle_inequality(g):
@@ -226,9 +236,10 @@ def test_induced_zero_border_crossing_edge_rejected():
 def test_induced_zero_border_sphere_distance_zero():
     g, _ = subdivide_edges(petersen_unit(), F(1, 2))
     cut, remap = induced_zero_border(g, 0, F(3, 2))
-    boundary = sphere(g, 0, F(3, 2))
+    dist = Distances(g, 0)
+    boundary = [v for v in range(g.n) if dist.side(v, F(3, 2)) == 0]
     assert boundary
-    for u, v in itertools.combinations(sorted(boundary), 2):
+    for u, v in itertools.combinations(boundary, 2):
         assert shortest_path(cut, remap[u], remap[v]).distance == 0
 
 

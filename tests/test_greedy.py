@@ -10,14 +10,14 @@ from greedysf.greedy import (
     Rule,
     apply_contraction_rule,
     compare_rules,
-    contraction_of,
     equal_cost_classes,
     pairs_below_contraction,
-    partition_cost_classes,
     run_greedy,
     serialize_trace,
     trace_to_obj,
 )
+from greedysf.balanced import trace_classes
+from greedysf.canonical import canonical_report
 from greedysf.instances import (
     gen_canonical_nested,
     gen_girth_lower_bound,
@@ -94,9 +94,9 @@ def test_contraction_examples():
     inst = make_instance(g, [(0, 1), (0, 2), (1, 2)])
     trace = run_greedy(inst, Rule.RULE2)
     # first pair of an empty-schedule instance reuses nothing
-    assert contraction_of(trace, inst, 0) == 1
+    assert trace.contraction[0] == 1
     assert trace.costs[2] == 0  # connected via the two previous shortcuts
-    assert contraction_of(trace, inst, 2) is None  # infinite
+    assert trace.contraction[2] is None  # infinite
 
 
 def test_zero_distance_pair_literal_rules():
@@ -128,48 +128,19 @@ def _trace_with_costs(costs):
     return run_greedy(inst, Rule.RULE3)
 
 
-def test_partition_cost_classes_exact_buckets():
-    trace = _trace_with_costs([8, 8, 2, 1])
-    part = partition_cost_classes(trace, class_cap=10)
-    assert part.anchor == 8
-    assert part.classes[0] == frozenset({0, 1})
-    assert part.classes[2] == frozenset({2})
-    assert part.classes[3] == frozenset({3})
-    assert part.residual == frozenset()
-    assert trace.class_index == [0, 0, 2, 3]
-
-
-def test_partition_single_class_and_residual():
-    trace = _trace_with_costs([4, 4, 4])
-    part = partition_cost_classes(trace)
-    assert set(part.classes) == {0} and not part.residual
-    trace2 = _trace_with_costs([64, 1])
-    part2 = partition_cost_classes(trace2)  # default cap: ceil(log2 2)+1 = 2
-    assert part2.classes[0] == frozenset({0})
-    assert part2.residual == frozenset({1})
-
-
 def test_partition_canonical_spacing():
     inst = gen_canonical_nested(3, 2, delta=20, seed=1)
     trace = run_greedy(inst, Rule.RULE3)
-    part = partition_cost_classes(trace, class_cap=100)
-    assert sorted(part.classes) == [0, 30, 60]
+    assert canonical_report(inst, trace, 1, 20).params.class_indices == (1, 2, 3)
 
 
 def test_partition_errors():
     g = WeightedGraph(2, [(0, 1, F(0))])
     inst = make_instance(g, [(0, 1)])
     trace = run_greedy(inst, Rule.RULE1)
+    assert equal_cost_classes(trace) == []
     with pytest.raises(InputError):
-        partition_cost_classes(trace)
-
-
-def test_partition_opt_anchor_shifts_indices():
-    trace = _trace_with_costs([8, 2])
-    base = partition_cost_classes(trace, class_cap=10)
-    shifted = partition_cost_classes(trace, class_cap=10, anchor=F(16))
-    assert sorted(base.classes) == [0, 2]
-    assert sorted(shifted.classes) == [1, 3]
+        trace_classes(trace)
 
 
 def test_equal_cost_classes():

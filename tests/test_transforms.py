@@ -13,7 +13,7 @@ from greedysf.instances import (
     gen_random_instance,
     make_instance,
 )
-from greedysf.canonical import is_canonical
+from greedysf.canonical import canonical_report
 from greedysf.balanced import DualBall, trace_classes
 from greedysf.opt import steiner_forest_exact, opt_weight_in_ball
 from greedysf.graph import open_ball
@@ -75,7 +75,7 @@ def test_to_canonical_replay_and_separation():
             assert replay.costs[new_i] == F(num, den)
         assert receipt.measured["replay_matches_rounded"] is True
         # output is canonical at doubled contraction budget
-        report = is_canonical(out, replay, 2 * alpha, delta)
+        report = canonical_report(out, replay, 2 * alpha, delta)
         assert report.is_canonical, report.offenders
         # kept group carries at least 1/(2*(delta+10)) of the rounded total
         kept = F(*map(int, receipt.measured["kept_rounded_cost"].split("/")))
@@ -249,15 +249,13 @@ def test_extract_sub_instance_replays_costs_and_bounds_opt():
 def test_tree_width_examples():
     g = WeightedGraph(4, [(0, 1, F(7)), (2, 3, F(1))])
     inst = make_instance(g, [(0, 1)])
-    mates = MateMap(inst)
-    assert tree_width([0], inst, mates) == 7
-    assert tree_width([1], inst, mates) == 0  # no terminal inside
+    assert tree_width([0], inst) == 7
+    assert tree_width([1], inst) == 0  # no terminal inside
 
 
 def test_tree_width_matches_brute_force():
     inst = gen_random_instance(8, 11, 4, seed=17)
     sol = steiner_forest_exact(inst)
-    mates = MateMap(inst)
     dists = [distances_from(inst.graph, p.s)[p.t] for p in inst.pairs]
 
     # group the solution edges into components
@@ -289,7 +287,7 @@ def test_tree_width_matches_brute_force():
             ),
             default=F(0),
         )
-        assert tree_width(edges, inst, mates) == expected
+        assert tree_width(edges, inst) == expected
 
 
 def test_forest_potential_examples():
