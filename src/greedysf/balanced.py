@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -194,12 +194,8 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
     grow_cap = 60 * L * lg_plus(L)
 
     def log_event(kind: str, **fields):
-        entry = {"event": kind}
-        entry.update(fields)
-        entry["charged_total"] = format_fraction(
-            charged_cost(trace, range(trace.k), charges)
-        )
-        log.append(entry)
+        total = charged_cost(trace, range(trace.k), charges)
+        log.append({"event": kind, **fields, "charged_total": format_fraction(total)})
 
     for cls in classes:
         unclassified = [
@@ -263,12 +259,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
                     interior=list(nb.interior),
                 )
                 continue
-            halved = DualBall(
-                class_index=cls.index,
-                center=center,
-                radius=cls.radius_full / 2,
-                owner_pair=owner,
-            )
+            halved = replace(ball, radius=cls.radius_full / 2)
             nb2 = ball_neighborhood(trace, inst, halved, K, classes)
             sigma2 = charged_cost(trace, nb2.members, charges)
             if sigma2 <= 10 * charges[owner] * cls.cost:
@@ -305,12 +296,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
                             f"ball around pair {owner}: radius growth did not "
                             f"stabilize within {grow_cap} increments"
                         )
-                    current = DualBall(
-                        class_index=cls.index,
-                        center=center,
-                        radius=current.radius + step,
-                        owner_pair=owner,
-                    )
+                    current = replace(current, radius=current.radius + step)
                     nbt = ball_neighborhood(trace, inst, current, K, classes)
                 for q in nbt.members:
                     if statuses[q] is not PairStatus.UNCLASSIFIED:
@@ -394,6 +380,14 @@ def verify_balanced(
     offenders: list[str] = []
     L = lg_plus(bd.K)
     class_by_index = {cls.index: cls for cls in bd.classes}
+    pair_ids = set(range(trace.k))
+    for name, table in (("charge", bd.charges), ("status", bd.statuses)):
+        if set(table) != pair_ids:
+            raise InputError(f"certificate needs exactly one {name} per pair 0..{trace.k - 1}")
+    for i, b in enumerate(bd.balls):
+        known = b.owner_pair in pair_ids and b.class_index in class_by_index
+        if not (known and b.center in range(inst.graph.n)):
+            raise InputError(f"ball {i} names an unknown pair, class or center")
 
     member_sets = [
         open_ball(inst.graph, b.center, b.radius).members for b in bd.balls
@@ -584,6 +578,10 @@ def obj_to_balanced(obj) -> BalancedDual:
         ]
         charges = {int(i): parse_fraction(c) for i, c in obj["charges"].items()}
         statuses = {int(i): PairStatus(s) for i, s in obj["statuses"].items()}
+        if len(charges) != len(obj["charges"]) or len(statuses) != len(obj["statuses"]):
+            raise ValueError("a pair index is given twice")
+        if not isinstance(obj["K"], int):
+            raise ValueError("K must be an integer")
         classes = tuple(
             ClassInfo(
                 index=c["index"],
@@ -602,5 +600,5 @@ def obj_to_balanced(obj) -> BalancedDual:
             classes=classes,
             step_log=list(obj.get("step_log", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed balanced dual certificate: {exc}") from exc

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,7 +180,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _certify_class_duals(inst: Instance, trace) -> tuple[dict, bool]:
+def _certify_class_duals(args, inst: Instance, trace) -> tuple[dict, bool]:
     sub = _subdivided(inst)
     entries = []
     ok = True
@@ -217,69 +218,72 @@ def _trace_for(args, inst: Instance):
     return trace
 
 
-def cmd_certify(args) -> int:
-    inst = _load_instance(args.instance)
-    trace = _trace_for(args, inst)
-    kind = args.kind
-    if kind == "class-duals":
-        payload, ok = _certify_class_duals(inst, trace)
-    elif kind == "dual-lb":
-        sub = _subdivided(inst)
-        opt_w = steiner_forest_exact(inst).weight
-        mates = MateMap(sub)
-        reports = []
-        ok = True
-        for cost, pair_ids in equal_cost_classes(trace):
-            coll, _aux = build_class_duals(trace, sub, pair_ids)
-            balls = [(c, coll.radius) for c, _ in coll.balls]
-            rep = dual_lower_bound_audit(balls, sub, mates, opt_w)
-            ok = ok and rep.bound_holds and not rep.vacuous
-            reports.append(
-                {
-                    "class_cost": format_fraction(cost),
-                    "sum_radii": format_fraction(rep.sum_radii),
-                    "bound_holds": rep.bound_holds,
-                    "premises_hold": rep.premises_hold,
-                }
-            )
-        payload = {"opt": format_fraction(opt_w), "classes": reports}
-    elif kind == "balanced":
-        if args.certificate:
-            bd = obj_to_balanced(_load_json(args.certificate))
-        else:
-            bd = build_balanced(
-                trace, inst, K=args.K or inst.k, delta=args.delta, alpha=args.alpha
-            )
-        report = verify_balanced(bd, trace, inst, args.delta)
-        ok = report.all_ok
-        payload = {
-            "certificate": balanced_to_obj(bd),
-            "clauses": {
-                "disjoint_and_covered": report.disjoint_and_covered,
-                "radii_in_range": report.radii_in_range,
-                "interior_cost_capped": report.interior_cost_capped,
-                "border_cost_capped": report.border_cost_capped,
-                "charges_capped": report.charges_capped,
-            },
-            "offenders": list(report.offenders),
-        }
-    elif kind == "induction-bound":
+def _certify_balanced(args, inst: Instance, trace) -> tuple[dict, bool]:
+    if args.certificate:
+        bd = obj_to_balanced(_load_json(args.certificate))
+    else:
         bd = build_balanced(
             trace, inst, K=args.K or inst.k, delta=args.delta, alpha=args.alpha
         )
-        opt = steiner_forest_exact(inst)
-        rep = induction_bound_audit(bd, opt, inst, trace, args.delta)
-        ok = rep.holds
-        payload = {
-            "holds": rep.holds,
-            "lhs": format_fraction(rep.lhs),
-            "rhs_upper": format_fraction(rep.rhs_upper),
-            "per_class_opt_mass": [
-                [j, format_fraction(m)] for j, m in rep.per_class_opt_mass
-            ],
-        }
-    else:
-        raise GreedysfError(f"unknown certify kind {kind}")
+    report = verify_balanced(bd, trace, inst, args.delta)
+    clauses = asdict(report)
+    offenders = list(clauses.pop("offenders"))
+    payload = {"certificate": balanced_to_obj(bd), "clauses": clauses, "offenders": offenders}
+    return payload, report.all_ok
+
+
+def _certify_induction_bound(args, inst: Instance, trace) -> tuple[dict, bool]:
+    bd = build_balanced(
+        trace, inst, K=args.K or inst.k, delta=args.delta, alpha=args.alpha
+    )
+    opt = steiner_forest_exact(inst)
+    rep = induction_bound_audit(bd, opt, inst, trace, args.delta)
+    payload = {
+        "holds": rep.holds,
+        "lhs": format_fraction(rep.lhs),
+        "rhs_upper": format_fraction(rep.rhs_upper),
+        "per_class_opt_mass": [
+            [j, format_fraction(m)] for j, m in rep.per_class_opt_mass
+        ],
+    }
+    return payload, rep.holds
+
+
+def _certify_dual_lb(args, inst: Instance, trace) -> tuple[dict, bool]:
+    sub = _subdivided(inst)
+    opt_w = steiner_forest_exact(inst).weight
+    mates = MateMap(sub)
+    reports = []
+    ok = True
+    for cost, pair_ids in equal_cost_classes(trace):
+        coll, _aux = build_class_duals(trace, sub, pair_ids)
+        balls = [(c, coll.radius) for c, _ in coll.balls]
+        rep = dual_lower_bound_audit(balls, sub, mates, opt_w)
+        ok = ok and rep.bound_holds and not rep.vacuous
+        reports.append(
+            {
+                "class_cost": format_fraction(cost),
+                "sum_radii": format_fraction(rep.sum_radii),
+                "bound_holds": rep.bound_holds,
+                "premises_hold": rep.premises_hold,
+            }
+        )
+    return {"opt": format_fraction(opt_w), "classes": reports}, ok
+
+
+# `certify --kind` choices, in this order, and the builder behind each
+CERTIFY_KINDS = {
+    "class-duals": _certify_class_duals,
+    "balanced": _certify_balanced,
+    "induction-bound": _certify_induction_bound,
+    "dual-lb": _certify_dual_lb,
+}
+
+
+def cmd_certify(args) -> int:
+    inst = _load_instance(args.instance)
+    trace = _trace_for(args, inst)
+    payload, ok = CERTIFY_KINDS[args.kind](args, inst, trace)
     payload["verdict"] = "pass" if ok else "fail"
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
@@ -355,7 +359,12 @@ def cmd_audit(args) -> int:
         if not isinstance(obj, dict):
             raise ParseError("certificate must be a JSON object")
         cert = obj.get("certificate", obj)
-        totals = [e.get("charged_total") for e in cert.get("step_log", [])]
+        steps = cert.get("step_log", []) if isinstance(cert, dict) else None
+        if not isinstance(steps, list) or not all(isinstance(e, dict) for e in steps):
+            raise ParseError("certificate needs a 'step_log' list of step objects")
+        totals = [e.get("charged_total") for e in steps]
+        if any(isinstance(t, (list, dict)) for t in totals):
+            raise ParseError("a step's 'charged_total' must be a JSON scalar")
         ok = len(set(totals)) <= 1
         print(json.dumps({"conserved": ok, "steps": len(totals)}))
         return 0 if ok else 1
@@ -450,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--kind",
         required=True,
-        choices=["class-duals", "balanced", "induction-bound", "dual-lb"],
+        choices=list(CERTIFY_KINDS),
     )
     c.add_argument("--instance", required=True)
     c.add_argument("--rule", default="3")

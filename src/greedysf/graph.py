@@ -2,8 +2,8 @@
 
 Vertices are dense ids 0..n-1.  Edge weights are nonnegative rationals;
 parallel edges are permitted (zero-weight shortcuts duplicate endpoints),
-self-loops are not.  All distance computations are exact: internally the
-weights are rescaled to integers by the lcm of their denominators, so the
+self-loops are not.  All distance computations are exact: a `Metric` holds
+the weights rescaled to integers by the lcm of their denominators, so the
 hot loops run on Python ints.
 """
 
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heappop
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import InputError, ParseError
 from .exact import parse_fraction, format_fraction
@@ -25,7 +25,7 @@ Edge = tuple[int, int, Fraction]
 class WeightedGraph:
     """Immutable undirected graph with exact rational edge weights."""
 
-    __slots__ = ("n", "edges", "_adj", "_scale", "_int_adj")
+    __slots__ = ("n", "edges", "_adj", "_metric")
 
     def __init__(self, n: int, edges: list[Edge]):
         if n < 0:
@@ -43,8 +43,7 @@ class WeightedGraph:
         self.n = n
         self.edges = tuple(normalized)
         self._adj = None
-        self._scale = None
-        self._int_adj = None
+        self._metric = None
 
     def __eq__(self, other):
         return (
@@ -70,20 +69,12 @@ class WeightedGraph:
             self._adj = adj
         return self._adj
 
-    def _scaled(self):
-        """Integer weights plus the common scale (lcm of denominators)."""
-        if self._scale is None:
-            scale = 1
-            for _, _, w in self.edges:
-                scale = math.lcm(scale, w.denominator)
-            int_adj = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                wi = w.numerator * (scale // w.denominator)
-                int_adj[u].append((v, wi))
-                int_adj[v].append((u, wi))
-            self._scale = scale
-            self._int_adj = int_adj
-        return self._int_adj, self._scale
+    @property
+    def metric(self) -> "Metric":
+        """The integer metric of this graph; callers must not add edges to it."""
+        if self._metric is None:
+            self._metric = Metric(self.n, self.edges, ())
+        return self._metric
 
     def check_vertex(self, v: int):
         if not (0 <= v < self.n):
@@ -147,32 +138,61 @@ def _dijkstra(n, adj, source, target=None):
     return dist, pred, done
 
 
-def scaled_distances(g: WeightedGraph, source: int):
-    """(integer distance list, scale): distance Fraction = d_int / scale."""
-    g.check_vertex(source)
-    int_adj, scale = g._scaled()
-    dist, _, _ = _dijkstra(g.n, int_adj, source)
-    return dist, scale
+class Metric:
+    """Undirected integer adjacency over one common scale.
+
+    A rational weight w is stored as the integer w * scale.  The scale is the
+    lcm of the denominators of `edges` and of `later`, the weights of edges
+    to be added afterwards, so it is fixed up front and every comparison and
+    tie of the rational metric is kept exactly.
+    """
+
+    __slots__ = ("n", "adj", "scale")
+
+    def __init__(self, n: int, edges: tuple[Edge, ...], later: Iterable[Fraction]):
+        self.n = n
+        self.scale = math.lcm(
+            *(w.denominator for _, _, w in edges), *(w.denominator for w in later)
+        )
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for u, v, w in edges:
+            self.add_edge(u, v, w)
+
+    def add_edge(self, u: int, v: int, w: Fraction):
+        """Store w as w * scale; a weight the scale does not cover is an input error."""
+        den, scale = w.denominator, self.scale
+        if scale % den:
+            raise InputError(f"weight {w} is not a multiple of 1/{scale}")
+        wi = w.numerator * (scale // den)
+        self.adj[u].append((v, wi))
+        self.adj[v].append((u, wi))
+
+    def distances(self, source: int) -> list[Optional[int]]:
+        """Integer distances (times scale) from source; None where unreachable."""
+        return _dijkstra(self.n, self.adj, source)[0]
+
+    def shortest(self, s: int, t: int) -> PathResult:
+        """Exact shortest path from s to t with deterministic tie-breaking."""
+        dist, pred, done = _dijkstra(self.n, self.adj, s, target=t)
+        if not done[t]:
+            return PathResult(None, None)
+        path = [t]
+        while path[-1] != s:
+            path.append(pred[path[-1]])
+        path.reverse()
+        return PathResult(Fraction(dist[t], self.scale), tuple(path))
 
 
 def distances_from(g: WeightedGraph, source: int) -> list[Optional[Fraction]]:
-    dist, scale = scaled_distances(g, source)
-    return [None if d is None else Fraction(d, scale) for d in dist]
+    dist = Distances(g, source)
+    return [None if d is None else Fraction(d, dist.scale) for d in dist.dist]
 
 
 def shortest_path(g: WeightedGraph, s: int, t: int) -> PathResult:
     """Exact shortest path from s to t with deterministic tie-breaking."""
     g.check_vertex(s)
     g.check_vertex(t)
-    int_adj, scale = g._scaled()
-    dist, pred, done = _dijkstra(g.n, int_adj, s, target=t)
-    if not done[t]:
-        return PathResult(None, None)
-    path = [t]
-    while path[-1] != s:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return PathResult(Fraction(dist[t], scale), tuple(path))
+    return g.metric.shortest(s, t)
 
 
 class Distances:
@@ -186,8 +206,11 @@ class Distances:
     __slots__ = ("center", "dist", "scale")
 
     def __init__(self, g: WeightedGraph, center: int):
+        g.check_vertex(center)
+        metric = g.metric
         self.center = center
-        self.dist, self.scale = scaled_distances(g, center)
+        self.dist = metric.distances(center)
+        self.scale = metric.scale
 
     def side(self, v: int, radius: Fraction) -> int:
         """-1 strictly inside the radius, 0 on the sphere, 1 beyond or unreachable."""

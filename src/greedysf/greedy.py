@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InputError, RunError
-from .exact import format_fraction
-from .graph import _dijkstra, distances_from
+from .errors import InputError, ParseError, RunError
+from .exact import format_fraction, parse_fraction
+from .graph import Metric, distances_from
 from .instances import Instance
 
 
@@ -68,44 +68,22 @@ def apply_contraction_rule(
     return [(kept[i], kept[i + 1]) for i in range(len(kept) - 1)]
 
 
-class MetricState:
-    """Mutable current metric of a run: base graph + revealed + shortcuts."""
-
-    def __init__(self, inst: Instance):
-        self.n = inst.graph.n
-        self.adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.n)]
-        for u, v, w in inst.graph.edges:
-            self.adj[u].append((v, w))
-            self.adj[v].append((u, w))
-
-    def add_edge(self, u: int, v: int, w: Fraction):
-        self.adj[u].append((v, w))
-        self.adj[v].append((u, w))
-
-    def shortest(self, s: int, t: int):
-        dist, pred, done = _dijkstra(self.n, self.adj, s, target=t)
-        if not done[t]:
-            return None, None
-        path = [t]
-        while path[-1] != s:
-            path.append(pred[path[-1]])
-        path.reverse()
-        return Fraction(dist[t]), tuple(path)
-
-
 def run_greedy(inst: Instance, rule: Rule) -> RunTrace:
     """Run the greedy algorithm over the arrival sequence under one rule."""
     if len(inst.schedule) != len(inst.pairs):
         raise InputError("schedule length must match pair count")
-    metric = MetricState(inst)
+    metric = Metric(
+        inst.graph.n, inst.graph.edges, (w for step in inst.schedule for _, _, w in step)
+    )
     prev_terminals: set[int] = set()
     paths, costs, added = [], [], []
     for i, pair in enumerate(inst.pairs):
         for u, v, w in inst.schedule[i]:
             metric.add_edge(u, v, w)
-        cost, path = metric.shortest(pair.s, pair.t)
-        if cost is None:
+        best = metric.shortest(pair.s, pair.t)
+        if not best.reachable:
             raise RunError(f"pair {i} ({pair.s},{pair.t}) unreachable in current metric")
+        cost, path = best.distance, best.path
         shortcuts = apply_contraction_rule(
             rule, path, prev_terminals | {pair.s, pair.t}
         )
@@ -210,9 +188,6 @@ def serialize_trace(trace: RunTrace) -> str:
 
 
 def parse_trace(text: str) -> RunTrace:
-    from .errors import ParseError
-    from .exact import parse_fraction
-
     try:
         obj = json.loads(text)
         rule = Rule.parse(obj["rule"])

@@ -34,10 +34,6 @@ def _pair_cap(explicit: Optional[int]) -> int:
     return int(env) if env else DEFAULT_PAIR_CAP
 
 
-def _terminal_cap(explicit: Optional[int]) -> int:
-    return DEFAULT_TERMINAL_CAP if explicit is None else explicit
-
-
 @dataclass(frozen=True)
 class SteinerSolution:
     weight: Fraction
@@ -134,13 +130,13 @@ class SteinerTable:
     def __init__(self, g: WeightedGraph, terminals: tuple[int, ...]):
         self.g = g
         self.terminals = terminals
-        self.scale = g._scaled()[1]
-        int_adj = [[] for _ in range(g.n)]
-        for ei, (u, v, w) in enumerate(g.edges):
-            wi = w.numerator * (self.scale // w.denominator)
-            int_adj[u].append((v, wi, ei))
-            int_adj[v].append((u, wi, ei))
-        self.int_adj = int_adj
+        metric = g.metric
+        self.scale = metric.scale
+        # g.adj and metric.adj list each vertex's edges in the same order
+        self.int_adj = [
+            [(v, wi, ei) for (v, wi), (_, ei) in zip(metric.adj[u], g.adj[u])]
+            for u in range(g.n)
+        ]
         self.dp: dict[int, list] = {}
         self.par: dict[int, list] = {}
         for i, term in enumerate(terminals):
@@ -254,7 +250,7 @@ def steiner_tree_exact(
         g.check_vertex(t)
     if not terminals:
         raise InputError("need at least one terminal")
-    cap = _terminal_cap(cap_terminals)
+    cap = DEFAULT_TERMINAL_CAP if cap_terminals is None else cap_terminals
     if len(terminals) > cap:
         raise CapExceededError(
             f"{len(terminals)} terminals exceed the cap of {cap}"
@@ -357,17 +353,12 @@ def steiner_forest_exact(
             for i in block:
                 m |= pair_mask[i]
             masks.append(m)
-        total = Fraction(0)
-        ok = True
-        for m in masks:
-            bw = block_weight(m)
-            if bw is None:
-                ok = False
-                break
-            total += bw[0]
-        if ok and (best is None or total < best):
-            best = total
-            best_blocks = masks
+        weights = [block_weight(m) for m in masks]
+        if None in weights:
+            continue
+        total = sum((w for w, _ in weights), Fraction(0))
+        if best is None or total < best:
+            best, best_blocks = total, masks
     if best is None:
         raise InputError("some pair is disconnected in the graph")
     edge_idx: set[int] = set()

@@ -13,9 +13,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .exact import floor_log2, format_fraction, pow2
-from .graph import UnionFind, induced_zero_border, shortest_path
+from .graph import Metric, UnionFind, induced_zero_border, shortest_path
 from .greedy import (
-    MetricState,
     Rule,
     RunTrace,
     pair_distances,
@@ -134,7 +133,7 @@ def subdivide_pairs_rule3(
         raise InputError("pair subdivision is defined for third-rule traces only")
     if any(inst.schedule[i] for i in range(inst.k)):
         raise InputError("pair subdivision expects an empty reveal schedule")
-    metric = MetricState(inst)
+    metric = Metric(inst.graph.n, inst.graph.edges, ())
     prev_terminals: set[int] = set()
     new_pairs: list[tuple[int, int]] = []
     pair_map = []
@@ -145,7 +144,7 @@ def subdivide_pairs_rule3(
         ]
         children = []
         for a, b in zip(kept_vertices, kept_vertices[1:]):
-            d, _ = metric.shortest(a, b)
+            d = metric.shortest(a, b).distance
             if d is None or d > 0:
                 children.append(len(new_pairs))
                 new_pairs.append((a, b))
@@ -332,11 +331,8 @@ def augment_subdivided_solution(
             for c in children_of[i]
             if uf.find(subdivided.pairs[c].s) != uf.find(subdivided.pairs[c].t)
         ]
-        if missing:
-            for c in missing:
-                forest |= connecting_edges(
-                    subdivided.pairs[c].s, subdivided.pairs[c].t
-                )
+        for c in missing:
+            forest |= connecting_edges(subdivided.pairs[c].s, subdivided.pairs[c].t)
         new_phi = forest_potential(forest, inst)
         log["steps"].append(
             {

@@ -312,3 +312,98 @@ def test_malformed_certificate_exits_2(tmp_path, capsys, text):
 def test_audit_moore_without_instance_exits_2(capsys):
     assert run_cli("audit", "--kind", "moore") == 2
     assert_one_line_error(capsys)
+
+
+def _balanced_certificate(tmp_path):
+    canon = tmp_path / "canon.json"
+    run_cli(
+        "generate", "canonical", "--classes", 2, "--per-class", 2,
+        "--delta", 200, "--seed", 1, "--out", canon,
+    )
+    cert = tmp_path / "bal.json"
+    run_cli(
+        "certify", "--kind", "balanced", "--instance", canon,
+        "--delta", 200, "--alpha", "1", "--out", cert,
+    )
+    return canon, json.loads(cert.read_text())["certificate"]
+
+
+def _drop_charge(cert):
+    del cert["charges"]["0"]
+
+
+def _drop_status(cert):
+    del cert["statuses"]["0"]
+
+
+def _extra_charge(cert):
+    cert["charges"]["99"] = "1/1"
+
+
+def _repeat_charge(cert):
+    cert["charges"]["00"] = cert["charges"]["0"]
+
+
+def _ball_unknown_pair(cert):
+    cert["balls"][0]["pair"] = 99
+
+
+def _ball_unknown_class(cert):
+    cert["balls"][0]["class"] = 99
+
+
+def _ball_center_not_vertex(cert):
+    cert["balls"][0]["center"] = "x"
+
+
+def _charges_not_object(cert):
+    cert["charges"] = [cert["charges"]["0"]]
+
+
+def _k_not_integer(cert):
+    cert["K"] = "x"
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _drop_charge,
+        _drop_status,
+        _extra_charge,
+        _repeat_charge,
+        _ball_unknown_pair,
+        _ball_unknown_class,
+        _ball_center_not_vertex,
+        _charges_not_object,
+        _k_not_integer,
+    ],
+)
+def test_balanced_certificate_incomplete_exits_2(tmp_path, capsys, tamper):
+    canon, cert = _balanced_certificate(tmp_path)
+    assert cert["balls"]
+    tamper(cert)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(cert))
+    capsys.readouterr()
+    rc = run_cli(
+        "certify", "--kind", "balanced", "--instance", canon,
+        "--delta", 200, "--alpha", "1", "--certificate", broken,
+    )
+    assert rc == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"step_log": 5},
+        {"certificate": 5},
+        {"step_log": [5]},
+        {"step_log": [{"charged_total": ["1"]}]},
+    ],
+)
+def test_conservation_malformed_step_log_exits_2(tmp_path, capsys, obj):
+    cert = tmp_path / "bad.json"
+    cert.write_text(json.dumps(obj))
+    assert run_cli("audit", "--kind", "conservation", "--certificate", cert) == 2
+    assert_one_line_error(capsys)

@@ -1,12 +1,12 @@
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedysf.errors import InputError, RunError
-from greedysf.graph import WeightedGraph, distances_from
+from greedysf.graph import Metric, WeightedGraph, distances_from
 from greedysf.greedy import (
-    MetricState,
     Rule,
     apply_contraction_rule,
     compare_rules,
@@ -164,16 +164,109 @@ def small_instances(draw):
 def test_cost_metric_consistency(inst, rule):
     """Replaying the metric reconstructs every traced cost exactly."""
     trace = run_greedy(inst, rule)
-    metric = MetricState(inst)
+    metric = Metric(
+        inst.graph.n, inst.graph.edges, (w for step in inst.schedule for _, _, w in step)
+    )
     prev = set()
     for i, pair in enumerate(inst.pairs):
         for u, v, w in inst.schedule[i]:
             metric.add_edge(u, v, w)
-        d, _ = metric.shortest(pair.s, pair.t)
+        d = metric.shortest(pair.s, pair.t).distance
         assert d == trace.costs[i]
         for u, v in trace.shortcuts_added[i]:
             metric.add_edge(u, v, F(0))
         prev.update((pair.s, pair.t))
+
+
+def _fraction_shortest(adj, s, t):
+    """Dijkstra on Fraction weights with the (distance, id) order and the
+    smallest-settled-predecessor tie-break; None, None if t is unreachable."""
+    dist, pred, done = {s: F(0)}, {}, set()
+    heap = [(F(0), s)]
+    while heap:
+        d, u = heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u == t:
+            break
+        for v, w in adj[u]:
+            if v in done:
+                continue
+            nd = d + w
+            if v not in dist or nd < dist[v]:
+                dist[v], pred[v] = nd, u
+                heappush(heap, (nd, v))
+            elif nd == dist[v] and u < pred[v]:
+                pred[v] = u
+    if t not in done:
+        return None, None
+    path = [t]
+    while path[-1] != s:
+        path.append(pred[path[-1]])
+    return dist[t], tuple(reversed(path))
+
+
+def _fraction_greedy(inst, rule):
+    """Reference run over a Fraction-weight adjacency, independent of graph.Metric."""
+    adj = [[] for _ in range(inst.graph.n)]
+
+    def add(u, v, w):
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+
+    for u, v, w in inst.graph.edges:
+        add(u, v, w)
+    prev, paths, costs = set(), [], []
+    for i, pair in enumerate(inst.pairs):
+        for u, v, w in inst.schedule[i]:
+            add(u, v, w)
+        cost, path = _fraction_shortest(adj, pair.s, pair.t)
+        for u, v in apply_contraction_rule(rule, path, prev | {pair.s, pair.t}):
+            add(u, v, F(0))
+        prev.update((pair.s, pair.t))
+        paths.append(path)
+        costs.append(cost)
+    return paths, costs
+
+
+@st.composite
+def rational_reveal_instances(draw):
+    base = draw(small_instances())
+    n = base.graph.n
+    den = st.integers(1, 16)
+    edges = [(u, v, w / draw(den)) for u, v, w in base.graph.edges]
+    schedule = []
+    for _ in base.pairs:
+        step = []
+        for _ in range(draw(st.integers(0, 2))):
+            u = draw(st.integers(0, n - 1))
+            v = draw(st.integers(0, n - 1).filter(lambda x: x != u))
+            b = draw(den)
+            step.append((u, v, F(draw(st.integers(0, 100 * b)), b)))
+        schedule.append(step)
+    pairs = [(p.s, p.t) for p in base.pairs]
+    return make_instance(WeightedGraph(n, edges), pairs, schedule)
+
+
+@given(rational_reveal_instances(), st.sampled_from(list(Rule)))
+@settings(max_examples=60, deadline=None)
+def test_rational_reveals_match_fraction_reference(inst, rule):
+    """The integer metric routes exactly as Dijkstra over Fraction weights."""
+    trace = run_greedy(inst, rule)
+    paths, costs = _fraction_greedy(inst, rule)
+    assert trace.paths == paths
+    assert trace.costs == costs
+
+
+def test_metric_rejects_off_scale_weight():
+    metric = Metric(3, ((0, 1, F(1, 2)), (1, 2, F(1, 3))), (F(5, 4),))
+    assert metric.scale == 12
+    metric.add_edge(0, 2, F(7, 4))
+    assert metric.shortest(0, 2).distance == F(5, 6)
+    with pytest.raises(InputError):
+        metric.add_edge(0, 2, F(1, 5))
+    assert metric.adj[0] == [(1, 6), (2, 21)]
 
 
 @given(small_instances(), st.sampled_from(list(Rule)))

@@ -140,15 +140,15 @@ def test_subdivide_requires_rule3_and_empty_schedule():
 
 def test_subdivide_contracted_metrics_coincide():
     """After each parent pair, both runs induce the same terminal metric."""
-    from greedysf.greedy import MetricState
+    from greedysf.graph import Metric
 
     for inst in random_corpus(8, k_max=4, start=400):
         trace = run_greedy(inst, Rule.RULE3)
         split, receipt = subdivide_pairs_rule3(inst, trace)
         split_trace = run_greedy(split, Rule.RULE3)
         terminals = sorted(inst.terminals())
-        original = MetricState(inst)
-        mirrored = MetricState(split)
+        original = Metric(inst.graph.n, inst.graph.edges, ())
+        mirrored = Metric(split.graph.n, split.graph.edges, ())
         for parent, children in receipt.pair_map:
             for u, v in trace.shortcuts_added[parent]:
                 original.add_edge(u, v, F(0))
@@ -158,8 +158,8 @@ def test_subdivide_contracted_metrics_coincide():
             for s in terminals:
                 for t in terminals:
                     if s < t:
-                        d_orig, _ = original.shortest(s, t)
-                        d_split, _ = mirrored.shortest(s, t)
+                        d_orig = original.shortest(s, t).distance
+                        d_split = mirrored.shortest(s, t).distance
                         assert d_orig == d_split
 
 
