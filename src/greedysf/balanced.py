@@ -33,7 +33,7 @@ from .exact import (
     lg_plus,
     parse_fraction,
 )
-from .graph import Distances, open_ball
+from .graph import Distances
 from .greedy import RunTrace, equal_cost_classes
 from .instances import Instance
 from .canonical import canonical_report
@@ -113,22 +113,33 @@ def charged_cost(trace: RunTrace, pair_ids, charges: dict[int, Fraction]) -> Fra
     return sum((charges[i] * trace.costs[i] for i in pair_ids), Fraction(0))
 
 
+def _slack(K: int) -> Fraction:
+    """The relative width 1/(200*L^2), L = lg_plus(K), of a ball's border band."""
+    L = lg_plus(K)
+    return Fraction(1, 200 * L * L)
+
+
 def ball_neighborhood(
     trace: RunTrace,
     inst: Instance,
     ball: DualBall,
     K: int,
     classes: Optional[tuple[ClassInfo, ...]] = None,
+    dist: Optional[Distances] = None,
 ) -> BallNeighborhood:
-    """Classify smaller-class pairs around a ball into members/border/interior."""
+    """Classify smaller-class pairs around a ball into members/border/interior.
+
+    `dist`, if given, is a search from the ball's center run to at least
+    radius*(1 + 1/(200*L^2)); it is reused instead of searching again.
+    """
     if classes is None:
         classes = trace_classes(trace)
     class_of = _class_of_pair(classes)
-    L = lg_plus(K)
-    eps = Fraction(1, 200 * L * L)
+    eps = _slack(K)
     up = ball.radius * (1 + eps)
     low = ball.radius * (1 - eps)
-    dist = Distances(inst.graph, ball.center)
+    if dist is None:
+        dist = Distances(inst.graph, ball.center, up)
 
     members, border, interior = [], [], []
     for i, pair in enumerate(inst.pairs):
@@ -224,6 +235,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
             )
 
         recharged_this_iteration: set[int] = set()
+        reach = cls.radius_full * (1 + _slack(K))
         for center, owner in coll.balls:
             ball = DualBall(
                 class_index=cls.index,
@@ -231,7 +243,10 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
                 radius=cls.radius_full,
                 owner_pair=owner,
             )
-            nb = ball_neighborhood(trace, inst, ball, K, classes)
+            # every ball this owner may end with has radius <= radius_full,
+            # so one search to the full ball's reach answers all of them
+            dist = Distances(inst.graph, center, reach)
+            nb = ball_neighborhood(trace, inst, ball, K, classes, dist)
             _check_targets_fresh(nb.members, statuses, ball)
             sigma = charged_cost(trace, nb.interior, charges)
             threshold_delete = 10 * charges[owner] * cls.cost * L**10
@@ -260,7 +275,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
                 )
                 continue
             halved = replace(ball, radius=cls.radius_full / 2)
-            nb2 = ball_neighborhood(trace, inst, halved, K, classes)
+            nb2 = ball_neighborhood(trace, inst, halved, K, classes, dist)
             sigma2 = charged_cost(trace, nb2.members, charges)
             if sigma2 <= 10 * charges[owner] * cls.cost:
                 # halve and absorb: the halved neighborhood is charged to the owner
@@ -297,7 +312,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
                             f"stabilize within {grow_cap} increments"
                         )
                     current = replace(current, radius=current.radius + step)
-                    nbt = ball_neighborhood(trace, inst, current, K, classes)
+                    nbt = ball_neighborhood(trace, inst, current, K, classes, dist)
                 for q in nbt.members:
                     if statuses[q] is not PairStatus.UNCLASSIFIED:
                         raise InternalConsistencyError(
@@ -315,7 +330,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
                     increments=t,
                     deferred=list(nbt.members),
                 )
-            members = open_ball(inst.graph, final.center, final.radius).members
+            members = dist.ball(final.radius).members
             for prev_idx, prev_members in enumerate(ball_members):
                 if prev_members & members:
                     raise InternalConsistencyError(
@@ -379,7 +394,10 @@ def verify_balanced(
     """
     offenders: list[str] = []
     L = lg_plus(bd.K)
-    class_by_index = {cls.index: cls for cls in bd.classes}
+    classes = trace_classes(trace)
+    if bd.classes != classes:
+        raise InputError("certificate classes differ from the trace's cost classes")
+    class_by_index = {cls.index: cls for cls in classes}
     pair_ids = set(range(trace.k))
     for name, table in (("charge", bd.charges), ("status", bd.statuses)):
         if set(table) != pair_ids:
@@ -389,9 +407,13 @@ def verify_balanced(
         if not (known and b.center in range(inst.graph.n)):
             raise InputError(f"ball {i} names an unknown pair, class or center")
 
-    member_sets = [
-        open_ball(inst.graph, b.center, b.radius).members for b in bd.balls
+    # one search per ball, to its neighborhood's reach, answers both the
+    # membership and the neighborhood questions
+    eps = _slack(bd.K)
+    dists = [
+        Distances(inst.graph, b.center, b.radius * (1 + eps)) for b in bd.balls
     ]
+    member_sets = [d.ball(b.radius).members for d, b in zip(dists, bd.balls)]
     disjoint = True
     for i in range(len(bd.balls)):
         for j in range(i + 1, len(bd.balls)):
@@ -399,7 +421,8 @@ def verify_balanced(
                 disjoint = False
                 offenders.append(f"balls {i} and {j} overlap")
     neighborhoods = [
-        ball_neighborhood(trace, inst, b, bd.K, bd.classes) for b in bd.balls
+        ball_neighborhood(trace, inst, b, bd.K, classes, d)
+        for b, d in zip(bd.balls, dists)
     ]
     covered_union: set[int] = set()
     for nb in neighborhoods:
@@ -510,8 +533,9 @@ def induction_bound_audit(
     lhs = trace.total_cost
     masses: dict[int, Fraction] = {cls.index: Fraction(0) for cls in bd.classes}
     for b in bd.balls:
+        dist = Distances(inst.graph, b.center, b.radius)
         masses[b.class_index] += opt_weight_in_ball(
-            opt, open_ball(inst.graph, b.center, b.radius), inst.graph
+            opt, dist.ball(b.radius), inst.graph, dist
         )
     first = Fraction(0)
     second = Fraction(0)

@@ -198,7 +198,7 @@ def verify_class_duals(
             centers_ok = False
             offenders.append(f"ball at {center} is not an endpoint of pair {p}")
 
-    dists = [Distances(g, c) for c, _ in coll.balls]
+    dists = [Distances(g, c, coll.radius) for c, _ in coll.balls]
     member_sets = [d.ball(coll.radius).members for d in dists]
     disjoint = True
     for i in range(len(member_sets)):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from heapq import heappush, heappop
 from typing import Iterable, Optional
 
-from .errors import InputError, ParseError
+from .errors import InputError, InternalConsistencyError, ParseError
 from .exact import parse_fraction, format_fraction
 
 Edge = tuple[int, int, Fraction]
@@ -36,8 +36,9 @@ class WeightedGraph:
                 raise InputError(f"edge ({u},{v}) references an invalid vertex id")
             if u == v:
                 raise InputError(f"self-loop at vertex {u} not allowed")
-            w = Fraction(w)
-            if w < 0:
+            if type(w) is not Fraction:
+                w = Fraction(w)
+            if w.numerator < 0:
                 raise InputError(f"negative weight on edge ({u},{v})")
             normalized.append((u, v, w))
         self.n = n
@@ -105,13 +106,20 @@ class Ball:
     members: frozenset[int]
 
 
-def _dijkstra(n, adj, source, target=None):
+def _dijkstra(n, adj, source, target=None, bound=None):
     """Shortest paths with deterministic predecessors.
 
     Ties are resolved toward the smallest predecessor id among vertices
     settled earlier in the (distance, id) order; with zero-weight edges this
     restriction is what keeps predecessor chains acyclic.
+
+    Returns the lists (dist, pred, done).  With an integer `bound` the
+    search is ball-local instead: it settles only the vertices within
+    distance `bound` and returns just their `{vertex: distance}` map,
+    allocating nothing of size n.
     """
+    if bound is not None:
+        return _ball_search(adj, source, bound)
     dist = [None] * n
     pred = [-1] * n
     done = [False] * n
@@ -136,6 +144,29 @@ def _dijkstra(n, adj, source, target=None):
             elif nd == dv and u < pred[v]:
                 pred[v] = u
     return dist, pred, done
+
+
+def _ball_search(adj, source, bound):
+    """Distances of the vertices within `bound` of source, in settling order."""
+    settled = {}
+    dist = {source: 0}
+    heap = [(0, source)]
+    while heap:
+        d, u = heappop(heap)
+        if u in settled:
+            continue
+        if d > bound:
+            break
+        settled[u] = d
+        for v, w in adj[u]:
+            if v in settled:
+                continue
+            nd = d + w
+            dv = dist.get(v)
+            if dv is None or nd < dv:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    return settled
 
 
 class Metric:
@@ -184,8 +215,12 @@ class Metric:
 
 
 def distances_from(g: WeightedGraph, source: int) -> list[Optional[Fraction]]:
-    dist = Distances(g, source)
-    return [None if d is None else Fraction(d, dist.scale) for d in dist.dist]
+    g.check_vertex(source)
+    metric = g.metric
+    return [
+        None if d is None else Fraction(d, metric.scale)
+        for d in metric.distances(source)
+    ]
 
 
 def shortest_path(g: WeightedGraph, s: int, t: int) -> PathResult:
@@ -198,26 +233,44 @@ def shortest_path(g: WeightedGraph, s: int, t: int) -> PathResult:
 class Distances:
     """Exact distances from one center, for comparisons against radii.
 
-    Holds one shortest-path run as integer distances over the graph's common
-    scale, so every ball-side question is answered by cross-multiplication
-    without building a Fraction per vertex.
+    Holds one shortest-path run bounded at `radius`: the integer distances
+    (over the graph's common scale) of the closed ball only, so a ball
+    question costs the size of the ball, not of the graph.  A vertex the run
+    did not reach lies beyond the radius; a question whose closed ball could
+    hold a vertex beyond the run raises.  Every ball-side question is
+    answered by cross-multiplication without building a Fraction per vertex.
     """
 
-    __slots__ = ("center", "dist", "scale")
+    __slots__ = ("center", "dist", "scale", "bound")
 
-    def __init__(self, g: WeightedGraph, center: int):
+    def __init__(self, g: WeightedGraph, center: int, radius: Fraction):
         g.check_vertex(center)
+        radius = Fraction(radius)
+        if radius < 0:
+            raise InputError("ball radius must be nonnegative")
         metric = g.metric
         self.center = center
-        self.dist = metric.distances(center)
         self.scale = metric.scale
+        self.bound = radius.numerator * self.scale // radius.denominator
+        self.dist = _dijkstra(metric.n, metric.adj, center, bound=self.bound)
+
+    def _rhs(self, radius: Fraction) -> int:
+        """radius.numerator * scale; raises if the run stopped short of radius."""
+        rhs = radius.numerator * self.scale
+        if rhs // radius.denominator > self.bound:
+            raise InternalConsistencyError(
+                f"radius {radius} exceeds the bound this search from "
+                f"{self.center} was run to"
+            )
+        return rhs
 
     def side(self, v: int, radius: Fraction) -> int:
         """-1 strictly inside the radius, 0 on the sphere, 1 beyond or unreachable."""
-        d = self.dist[v]
+        rhs = self._rhs(radius)
+        d = self.dist.get(v)
         if d is None:
             return 1
-        lhs, rhs = d * radius.denominator, radius.numerator * self.scale
+        lhs = d * radius.denominator
         return (lhs > rhs) - (lhs < rhs)
 
     def ball(self, radius: Fraction) -> Ball:
@@ -225,16 +278,14 @@ class Distances:
         radius = Fraction(radius)
         if radius < 0:
             raise InputError("ball radius must be nonnegative")
-        rden, bound = radius.denominator, radius.numerator * self.scale
-        members = frozenset(
-            v for v, d in enumerate(self.dist) if d is not None and d * rden < bound
-        )
+        rden, rhs = radius.denominator, self._rhs(radius)
+        members = frozenset(v for v, d in self.dist.items() if d * rden < rhs)
         return Ball(self.center, radius, members)
 
 
 def open_ball(g: WeightedGraph, center: int, radius: Fraction) -> Ball:
     """Open ball of the given center and radius; radius 0 gives no members."""
-    return Distances(g, center).ball(radius)
+    return Distances(g, center, radius).ball(radius)
 
 
 class UnionFind:
@@ -341,20 +392,24 @@ def induced_zero_border(
     radius = Fraction(radius)
     if radius < 0:
         raise InputError("radius must be nonnegative")
-    dist = Distances(g, center)
-    sides = [dist.side(v, radius) for v in range(g.n)]
-    for u, v, _ in g.edges:
-        if {sides[u], sides[v]} == {-1, 1}:
-            raise InputError(
-                f"edge ({u},{v}) crosses the sphere of radius {radius}; "
-                "subdivide the graph first"
-            )
-    kept = [v for v in range(g.n) if sides[v] <= 0]
+    dist = Distances(g, center, radius)
+    # the closed ball; every vertex the search did not reach is beyond
+    sides = {v: dist.side(v, radius) for v in dist.dist}
+    adj = g.adj
+    crossing = [
+        ei for u, su in sides.items() if su < 0 for v, ei in adj[u] if v not in sides
+    ]
+    if crossing:
+        u, v, _ = g.edges[min(crossing)]
+        raise InputError(
+            f"edge ({u},{v}) crosses the sphere of radius {radius}; "
+            "subdivide the graph first"
+        )
+    kept = sorted(sides)
     remap = {old: new for new, old in enumerate(kept)}
+    inner = {ei for u in kept for v, ei in adj[u] if v in sides}
     edges = [
-        (remap[u], remap[v], w)
-        for u, v, w in g.edges
-        if sides[u] <= 0 and sides[v] <= 0
+        (remap[u], remap[v], w) for u, v, w in (g.edges[ei] for ei in sorted(inner))
     ]
     border = [v for v in kept if sides[v] == 0]
     for i, u in enumerate(border):

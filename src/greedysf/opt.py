@@ -382,13 +382,21 @@ def tree_optimum(
 
 # -- ball queries and the disjoint-ball lower bound ---------------------------
 
-def opt_weight_in_ball(sol: SteinerSolution, ball: Ball, g: WeightedGraph) -> Fraction:
+def opt_weight_in_ball(
+    sol: SteinerSolution,
+    ball: Ball,
+    g: WeightedGraph,
+    dist: Optional[Distances] = None,
+) -> Fraction:
     """Total weight of solution edges with both endpoints inside the open ball.
 
     An edge with one endpoint strictly inside and one strictly outside means
-    the graph was not subdivided finely enough: precondition error.
+    the graph was not subdivided finely enough: precondition error.  `dist`,
+    if given, is a search from the ball's center run to at least its radius;
+    it is reused instead of searching again.
     """
-    dist = Distances(g, ball.center)
+    if dist is None:
+        dist = Distances(g, ball.center, ball.radius)
     total = Fraction(0)
     for idx in sol.edge_indices:
         u, v, w = g.edges[idx]
@@ -438,7 +446,7 @@ def dual_lower_bound_audit(
     g = inst.graph
     offenders: list[str] = []
     radii = [Fraction(radius) for _, radius in balls]
-    dists = [Distances(g, center) for center, _ in balls]
+    dists = [Distances(g, center, r) for (center, _), r in zip(balls, radii)]
     member_sets = [d.ball(r).members for d, r in zip(dists, radii)]
     disjoint = True
     for i in range(len(balls)):

@@ -251,6 +251,11 @@ def tree_width(tree_edges, inst: Instance) -> Fraction:
 
 def forest_potential(forest_edges, inst: Instance) -> Fraction:
     """Forest weight plus the total width of its components."""
+    return _forest_potential(forest_edges, inst, pair_distances(inst))
+
+
+def _forest_potential(forest_edges, inst: Instance, dists) -> Fraction:
+    """`forest_potential` given the instance's `pair_distances`."""
     g = inst.graph
     uf = UnionFind()
     weight = Fraction(0)
@@ -259,7 +264,6 @@ def forest_potential(forest_edges, inst: Instance) -> Fraction:
         if not uf.union(u, v):
             raise InputError("edge set contains a cycle; not a forest")
         weight += w
-    dists = pair_distances(inst)
     return weight + sum(
         (_component_width(comp, inst, dists) for comp in uf.groups()), Fraction(0)
     )
@@ -318,7 +322,7 @@ def augment_subdivided_solution(
         return out
 
     forest: set[int] = set(opt_edge_indices)
-    phi = forest_potential(forest, inst)
+    phi = _forest_potential(forest, inst, dists)
     log = {"steps": [], "initial_potential": format_fraction(phi)}
     children_of = {i: list(ch) for i, ch in receipt.pair_map}
 
@@ -333,7 +337,7 @@ def augment_subdivided_solution(
         ]
         for c in missing:
             forest |= connecting_edges(subdivided.pairs[c].s, subdivided.pairs[c].t)
-        new_phi = forest_potential(forest, inst)
+        new_phi = _forest_potential(forest, inst, dists)
         log["steps"].append(
             {
                 "pair": i,

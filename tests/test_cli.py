@@ -393,6 +393,23 @@ def test_balanced_certificate_incomplete_exits_2(tmp_path, capsys, tamper):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("pairs", [[99], ["x"]])
+def test_balanced_certificate_foreign_classes_exits_2(tmp_path, capsys, pairs):
+    # the verifier takes the cost classes from the trace, never from the
+    # certificate: rewritten classes must not verify
+    canon, cert = _balanced_certificate(tmp_path)
+    cert["classes"][0]["pairs"] = pairs
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(cert))
+    capsys.readouterr()
+    rc = run_cli(
+        "certify", "--kind", "balanced", "--instance", canon,
+        "--delta", 200, "--alpha", "1", "--certificate", broken,
+    )
+    assert rc == 2
+    assert_one_line_error(capsys)
+
+
 @pytest.mark.parametrize(
     "obj",
     [

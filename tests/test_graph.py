@@ -1,10 +1,11 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greedysf.errors import InputError, ParseError
+from greedysf.errors import InputError, InternalConsistencyError, ParseError
 from greedysf.graph import (
     Distances,
     WeightedGraph,
@@ -135,11 +136,116 @@ def test_open_ball_examples():
 def test_distances_side_examples():
     # rational weights exercise the common scale; vertex 3 is unreachable
     g = WeightedGraph(4, [(0, 1, F(1, 3)), (1, 2, F(1, 2))])
-    dist = Distances(g, 0)
+    dist = Distances(g, 0, F(5, 6))
     assert [dist.side(v, F(5, 6)) for v in range(4)] == [-1, -1, 0, 1]
     assert dist.ball(F(5, 6)).members == {0, 1}
     with pytest.raises(InputError):
         dist.ball(F(-1))
+
+
+@st.composite
+def rational_graphs(draw, max_n=8):
+    """Graphs with weights a/b, zero weights and parallel edges included.
+
+    Sparse draws leave some vertices unreachable from any given center.
+    """
+    n = draw(st.integers(2, max_n))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(all_pairs), max_size=2 * n))
+    weight = st.builds(F, st.integers(0, 12), st.integers(1, 6))
+    return WeightedGraph(n, [(u, v, draw(weight)) for u, v in chosen])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_graphs(), st.data())
+def test_bounded_distances_agree_with_unbounded(g, data):
+    center = data.draw(st.integers(0, g.n - 1))
+    reference = distances_from(g, center)  # one unbounded search
+    reached = sorted({d for d in reference if d is not None})
+    # 0, a vertex's own distance (the sphere case), past every vertex, or any
+    R = data.draw(
+        st.sampled_from([F(0), reached[-1] + 1, *reached])
+        | st.builds(F, st.integers(0, 40), st.integers(1, 7))
+    )
+    bounded = Distances(g, center, R)
+    radii = {F(0), R, R / 2, *(d for d in reached if d <= R)}
+    radii |= {(a + b) / 2 for a, b in zip(sorted(radii), sorted(radii)[1:])}
+    for r in radii:
+        expected = [1 if d is None else (d > r) - (d < r) for d in reference]
+        assert [bounded.side(v, r) for v in range(g.n)] == expected
+        inside = {v for v, side in enumerate(expected) if side < 0}
+        assert bounded.ball(r).members == inside
+
+
+def zero_border_reference(g, center, radius):
+    """induced_zero_border by a whole-graph scan of Fraction distances."""
+    dist = distances_from(g, center)
+    side = [1 if d is None else (d > radius) - (d < radius) for d in dist]
+    for u, v, _ in g.edges:
+        if {side[u], side[v]} == {-1, 1}:
+            return f"edge ({u},{v}) crosses the sphere of radius {radius}"
+    kept = [v for v in range(g.n) if side[v] <= 0]
+    remap = {old: new for new, old in enumerate(kept)}
+    edges = [
+        (remap[u], remap[v], w) for u, v, w in g.edges if side[u] <= 0 and side[v] <= 0
+    ]
+    border = [v for v in kept if side[v] == 0]
+    edges += [(remap[u], remap[v], F(0)) for u, v in itertools.combinations(border, 2)]
+    return WeightedGraph(len(kept), edges), remap
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_graphs(), st.data())
+def test_induced_zero_border_matches_whole_graph_scan(g, data):
+    center = data.draw(st.integers(0, g.n - 1))
+    radius = data.draw(st.builds(F, st.integers(0, 30), st.integers(1, 6)))
+    expected = zero_border_reference(g, center, radius)
+    if isinstance(expected, str):
+        with pytest.raises(InputError, match=re.escape(expected)):
+            induced_zero_border(g, center, radius)
+    else:
+        assert induced_zero_border(g, center, radius) == expected
+
+
+def test_bounded_distances_refuse_larger_radius():
+    g = path_graph([1, 1, 1])
+    dist = Distances(g, 0, F(1))
+    # 3/2 closes over the same integer distances as 1, so it is answerable
+    assert [dist.side(v, F(3, 2)) for v in range(4)] == [-1, -1, 1, 1]
+    with pytest.raises(InternalConsistencyError):
+        dist.side(3, F(2))
+    with pytest.raises(InternalConsistencyError):
+        dist.ball(F(5, 2))
+    with pytest.raises(InputError):
+        Distances(g, 0, F(-1))
+
+
+def test_ball_search_settles_only_the_closed_ball(monkeypatch):
+    from greedysf import graph
+
+    g, _ = subdivide_edges(path_graph([1000]), F(1))
+    # subdivision numbers the chain 0, 2, 3, ..., 1000, 1
+    chain = [0, *range(2, 1001), 1]
+    mid = chain[500]
+    settled = []
+    search = graph._dijkstra
+
+    def recording(*args, **kwargs):
+        out = search(*args, **kwargs)
+        settled.append(set(out))
+        return out
+
+    monkeypatch.setattr(graph, "_dijkstra", recording)
+    ball = open_ball(g, mid, F(2))
+    assert ball.members == set(chain[499:502])
+    assert settled == [set(chain[498:503])]
+
+
+def test_weights_must_be_nonnegative():
+    for w in (F(-1, 2), -1):
+        with pytest.raises(InputError):
+            WeightedGraph(2, [(0, 1, w)])
+    assert WeightedGraph(2, [(0, 1, 3)]).edges == ((0, 1, F(3)),)
 
 
 @given(random_graphs())
@@ -236,7 +342,7 @@ def test_induced_zero_border_crossing_edge_rejected():
 def test_induced_zero_border_sphere_distance_zero():
     g, _ = subdivide_edges(petersen_unit(), F(1, 2))
     cut, remap = induced_zero_border(g, 0, F(3, 2))
-    dist = Distances(g, 0)
+    dist = Distances(g, 0, F(3, 2))
     boundary = [v for v in range(g.n) if dist.side(v, F(3, 2)) == 0]
     assert boundary
     for u, v in itertools.combinations(boundary, 2):

@@ -347,6 +347,31 @@ def test_augment_girth_instance():
     assert all(step["non_increasing"] for step in log["steps"])
 
 
+def test_augment_computes_pair_distances_once(monkeypatch):
+    from greedysf import graph
+
+    inst = gen_girth_lower_bound("petersen")
+    trace = run_greedy(inst, Rule.RULE3)
+    split, receipt = subdivide_pairs_rule3(inst, trace)
+    opt = steiner_forest_exact(inst)
+    calls = []
+    search = graph._dijkstra
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "_dijkstra", counting)
+    forest, log = augment_subdivided_solution(
+        opt.edge_indices, inst, trace, split, receipt
+    )
+    added = sum(len(step["added_for"]) for step in log["steps"])
+    # one run per distinct pair source, plus one path per sub-pair added; the
+    # potential after each of the k arrivals reuses the same distances
+    assert len(calls) == len({p.s for p in inst.pairs}) + added
+    assert len(calls) < 15
+
+
 def test_augment_monotone_corpus():
     for inst in (sort_by_distance(i) for i in random_corpus(15, k_max=4, start=300)):
         trace = run_greedy(inst, Rule.RULE3)
