@@ -388,6 +388,8 @@ def verify_balanced(
 ) -> BalancedReport:
     """Audit the five clauses of a balanced dual solution.
 
+    Clause (e) also checks conservation: the charges, weighted by the traced
+    costs, must sum to the greedy total, as the initial all-one charges do.
     The cap on surviving charges involves 55*e^5 and is compared against a
     certified rational upper bound, so a correct solution is never rejected
     over constant precision.
@@ -494,6 +496,12 @@ def verify_balanced(
         else:
             clause_e = False
             offenders.append(f"pair {i} is unclassified")
+    carried = charged_cost(trace, range(trace.k), bd.charges)
+    if carried != trace.total_cost:
+        clause_e = False
+        offenders.append(
+            f"charges carry {carried}, not the greedy total {trace.total_cost}"
+        )
 
     return BalancedReport(
         disjoint_and_covered=clause_a,

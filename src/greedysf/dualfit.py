@@ -160,6 +160,8 @@ class ClassDualReport:
             and self.centers_at_endpoints
             and self.balls_disjoint
             and self.radii_below_mate_distance
+            and self.radius_within_class_bound
+            and self.radius_within_subset_bound
             and self.counting_identity
         )
 
@@ -224,6 +226,8 @@ def verify_class_duals(
         p_count == 0
         or coll.radius <= coll.class_cost / (8 * lg_plus(max(1, p_count)))
     )
+    if not rad_subset_ok:
+        offenders.append("radius exceeds the subset-size bound")
 
     counting = p_count == len(coll.balls) + len(aux.edges)
     if not counting:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import InputError, ParseError, RunError
 from .exact import format_fraction, parse_fraction
-from .graph import Metric, distances_from
+from .graph import Metric
 from .instances import Instance
 
 
@@ -106,12 +106,15 @@ def run_greedy(inst: Instance, rule: Rule) -> RunTrace:
 
 def pair_distances(inst: Instance) -> list[Optional[Fraction]]:
     """Original-graph distance of every pair, None where disconnected."""
+    metric = inst.graph.metric
     dist_cache: dict[int, list] = {}
     out = []
     for pair in inst.pairs:
         if pair.s not in dist_cache:
-            dist_cache[pair.s] = distances_from(inst.graph, pair.s)
-        out.append(dist_cache[pair.s][pair.t])
+            inst.graph.check_vertex(pair.s)
+            dist_cache[pair.s] = metric.distances(pair.s)
+        d = dist_cache[pair.s][pair.t]
+        out.append(None if d is None else Fraction(d, metric.scale))
     return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from heapq import heapify, heappush, heappop
 from typing import Iterator, Optional
 
-from .errors import CapExceededError, InputError
+from .errors import CapExceededError, InputError, InternalConsistencyError
 from .exact import format_fraction
 from .graph import Ball, Distances, UnionFind, WeightedGraph
 from .instances import Instance, MateMap
@@ -27,9 +27,7 @@ DEFAULT_TERMINAL_CAP = 12
 PAIR_CAP_ENV = "STEINER_CAP_PAIRS"
 
 
-def _pair_cap(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
+def _pair_cap() -> int:
     env = os.environ.get(PAIR_CAP_ENV)
     return int(env) if env else DEFAULT_PAIR_CAP
 
@@ -76,15 +74,24 @@ def _solution(g: WeightedGraph, edge_indices, terminals) -> SteinerSolution:
     )
 
 
-# -- Steiner trees on forests: the minimal connecting subtree is unique ------
+# -- Steiner trees over terminal masks ----------------------------------------
+#
+# Both solvers answer, for a mask over their terminal tuple, weight(mask): the
+# optimum tree weight as an integer over g.metric.scale, or None if the masked
+# terminals are disconnected; and edges(mask): that tree's edge indices.
 
 class _ForestIndex:
-    def __init__(self, g: WeightedGraph):
-        self.g = g
+    """On an acyclic graph the minimal connecting subtree is unique: the union
+    of the paths from one terminal to every other."""
+
+    def __init__(self, g: WeightedGraph, terminals: tuple[int, ...]):
+        self.terminals = terminals
         self.parent_edge = [-1] * g.n
         self.parent = [-1] * g.n
         self.root = [-1] * g.n
         self.depth = [0] * g.n
+        self.edge_weight = [0] * len(g.edges)
+        metric = g.metric
         for r in range(g.n):
             if self.root[r] != -1:
                 continue
@@ -92,17 +99,18 @@ class _ForestIndex:
             stack = [r]
             while stack:
                 u = stack.pop()
-                for v, ei in g.adj[u]:
+                # g.adj and metric.adj list each vertex's edges in the same order
+                for (v, ei), (_, wi) in zip(g.adj[u], metric.adj[u]):
                     if self.root[v] == -1:
                         self.root[v] = r
                         self.parent[v] = u
                         self.parent_edge[v] = ei
+                        self.edge_weight[ei] = wi
                         self.depth[v] = self.depth[u] + 1
                         stack.append(v)
+        self._memo: dict[int, Optional[tuple[int, set[int]]]] = {}
 
-    def path_edges(self, a: int, b: int) -> set[int]:
-        if self.root[a] != self.root[b]:
-            raise InputError("terminals are disconnected")
+    def _path_edges(self, a: int, b: int) -> set[int]:
         edges: set[int] = set()
         while a != b:
             if self.depth[a] >= self.depth[b]:
@@ -113,32 +121,39 @@ class _ForestIndex:
                 b = self.parent[b]
         return edges
 
-    def subtree_edges(self, terminals) -> set[int]:
-        # in a forest the minimal connecting subtree is the union of the
-        # unique paths from one fixed terminal to every other terminal
-        edges: set[int] = set()
-        for t in terminals[1:]:
-            edges |= self.path_edges(terminals[0], t)
-        return edges
+    def _tree(self, mask) -> Optional[tuple[int, set[int]]]:
+        if mask not in self._memo:
+            first, *rest = [t for i, t in enumerate(self.terminals) if mask >> i & 1]
+            if any(self.root[t] != self.root[first] for t in rest):
+                self._memo[mask] = None
+            else:
+                edges = set().union(*(self._path_edges(first, t) for t in rest))
+                self._memo[mask] = (sum(self.edge_weight[i] for i in edges), edges)
+        return self._memo[mask]
 
+    def weight(self, mask) -> Optional[int]:
+        tree = self._tree(mask)
+        return None if tree is None else tree[0]
 
-# -- Steiner trees in general: subset DP over terminal masks ------------------
+    def edges(self, mask) -> set[int]:
+        return self._tree(mask)[1]
+
 
 class SteinerTable:
-    """dp[mask][v] = min weight of a tree spanning {terminals in mask, v}."""
+    """Subset DP: dp[mask][v] = min weight of a tree spanning {terminals in mask, v}."""
 
     def __init__(self, g: WeightedGraph, terminals: tuple[int, ...]):
         self.g = g
         self.terminals = terminals
         metric = g.metric
-        self.scale = metric.scale
         # g.adj and metric.adj list each vertex's edges in the same order
         self.int_adj = [
             [(v, wi, ei) for (v, wi), (_, ei) in zip(metric.adj[u], g.adj[u])]
             for u in range(g.n)
         ]
-        self.dp: dict[int, list] = {}
-        self.par: dict[int, list] = {}
+        # dp[0]: every vertex alone, the tree a single-terminal mask asks for
+        self.dp: dict[int, list] = {0: [0] * g.n}
+        self.par: dict[int, list] = {0: [("base",)] * g.n}
         for i, term in enumerate(terminals):
             self._seed_and_walk(1 << i, self._single_seed(term))
         t = len(terminals)
@@ -202,32 +217,21 @@ class SteinerTable:
         self.dp[mask] = seed
         self.par[mask] = par
 
-    def tree_weight(self, mask) -> Optional[Fraction]:
-        if mask == 0:
-            return Fraction(0)
-        low_i = (mask & (-mask)).bit_length() - 1
-        root = self.terminals[low_i]
-        rest = mask ^ (mask & (-mask))
-        if rest == 0:
-            return Fraction(0)
-        val = self.dp[rest][root]
-        return None if val is None else Fraction(val, self.scale)
-
-    def tree_edges(self, mask) -> set[int]:
-        if mask == 0:
-            return set()
+    def _rooted(self, mask) -> tuple[int, int]:
+        """(mask without its lowest terminal, that terminal)."""
         low = mask & (-mask)
-        root = self.terminals[low.bit_length() - 1]
-        rest = mask ^ low
-        if rest == 0:
-            return set()
+        return mask ^ low, self.terminals[low.bit_length() - 1]
+
+    def weight(self, mask) -> Optional[int]:
+        rest, root = self._rooted(mask)
+        return self.dp[rest][root]
+
+    def edges(self, mask) -> set[int]:
         out: set[int] = set()
-        stack = [(rest, root)]
+        stack = [self._rooted(mask)]
         while stack:
             m, v = stack.pop()
             tag = self.par[m][v]
-            if tag is None:
-                raise InputError("terminals are disconnected")
             if tag[0] == "base":
                 continue
             if tag[0] == "edge":
@@ -239,6 +243,12 @@ class SteinerTable:
                 stack.append((m1, v))
                 stack.append((m2, v))
         return out
+
+
+def _tree_oracle(g: WeightedGraph, terminals: tuple[int, ...]):
+    """The Steiner-tree solver over masks of `terminals`: the closed form on
+    acyclic graphs, the subset DP otherwise."""
+    return _ForestIndex(g, terminals) if _is_forest(g) else SteinerTable(g, terminals)
 
 
 def steiner_tree_exact(
@@ -255,17 +265,11 @@ def steiner_tree_exact(
         raise CapExceededError(
             f"{len(terminals)} terminals exceed the cap of {cap}"
         )
-    if len(terminals) == 1:
-        return _solution(g, (), terminals)
-    if _is_forest(g):
-        edges = _ForestIndex(g).subtree_edges(list(terminals))
-        return _solution(g, edges, terminals)
-    table = SteinerTable(g, terminals)
+    oracle = _tree_oracle(g, terminals)
     full = (1 << len(terminals)) - 1
-    weight = table.tree_weight(full)
-    if weight is None:
+    if oracle.weight(full) is None:
         raise InputError("terminals are disconnected")
-    return _solution(g, table.tree_edges(full), terminals)
+    return _solution(g, oracle.edges(full), terminals)
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:
@@ -292,58 +296,24 @@ def set_partitions(items: list) -> Iterator[list[list]]:
     yield from rec(0)
 
 
-def steiner_forest_exact(
-    inst: Instance,
-    cap_pairs: Optional[int] = None,
-    cap_terminals: Optional[int] = None,
-) -> SteinerSolution:
+def steiner_forest_exact(inst: Instance) -> SteinerSolution:
     """Exact minimum-weight forest connecting every pair.
 
     Minimizes over all partitions of the pair list, connecting each block's
     terminal union by an exact Steiner tree.  Schedule edges are never used.
     """
-    cap = _pair_cap(cap_pairs)
+    cap = _pair_cap()
     if inst.k > cap:
         raise CapExceededError(f"{inst.k} pairs exceed the cap of {cap}")
     g = inst.graph
     terminals = tuple(sorted(inst.terminals()))
     if not terminals:
         return _solution(g, (), ())
-    if cap_terminals is not None and len(terminals) > cap_terminals:
-        raise CapExceededError(
-            f"{len(terminals)} terminals exceed the cap of {cap_terminals}"
-        )
     term_pos = {t: i for i, t in enumerate(terminals)}
     pair_mask = [
         (1 << term_pos[p.s]) | (1 << term_pos[p.t]) for p in inst.pairs
     ]
-
-    forest_mode = _is_forest(g)
-    if forest_mode:
-        index = _ForestIndex(g)
-        weight_memo: dict[int, Optional[Fraction]] = {}
-
-        def block_weight(mask):
-            if mask not in weight_memo:
-                terms = [terminals[i] for i in range(len(terminals)) if mask >> i & 1]
-                try:
-                    edges = index.subtree_edges(terms)
-                except InputError:
-                    weight_memo[mask] = None
-                else:
-                    weight_memo[mask] = (
-                        sum((g.edges[i][2] for i in edges), Fraction(0)),
-                        edges,
-                    )
-            return weight_memo[mask]
-
-    else:
-        table = SteinerTable(g, terminals)
-
-        def block_weight(mask):
-            w = table.tree_weight(mask)
-            return None if w is None else (w, None)
-
+    oracle = _tree_oracle(g, terminals)
     best = None
     best_blocks = None
     for partition in set_partitions(list(range(inst.k))):
@@ -353,23 +323,18 @@ def steiner_forest_exact(
             for i in block:
                 m |= pair_mask[i]
             masks.append(m)
-        weights = [block_weight(m) for m in masks]
+        weights = [oracle.weight(m) for m in masks]
         if None in weights:
             continue
-        total = sum((w for w, _ in weights), Fraction(0))
+        total = sum(weights)
         if best is None or total < best:
             best, best_blocks = total, masks
     if best is None:
         raise InputError("some pair is disconnected in the graph")
-    edge_idx: set[int] = set()
-    for m in best_blocks:
-        if forest_mode:
-            edge_idx.update(block_weight(m)[1])
-        else:
-            edge_idx.update(table.tree_edges(m))
+    edge_idx = set().union(*(oracle.edges(m) for m in best_blocks))
     sol = _solution(g, edge_idx, terminals)
-    if sol.weight != best:
-        raise InputError("internal error: partition weight mismatch")
+    if sol.weight != Fraction(best, g.metric.scale):
+        raise InternalConsistencyError("partition weight mismatch")
     return sol
 
 

@@ -1,12 +1,16 @@
 import json
 import shlex
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from greedysf.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(*argv):
@@ -256,6 +260,25 @@ def test_readme_command_block_runs(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0, " ".join(argv)
 
 
+def test_run_experiments_reproduces_tracked_results(tmp_path, monkeypatch):
+    # the script writes results/ beside its own scripts/ directory, so run a copy
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "run_experiments.py", tmp_path / "scripts")
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    monkeypatch.delenv("STEINER_CAP_PAIRS", raising=False)
+    subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "run_experiments.py")],
+        check=True, capture_output=True,
+    )
+    tracked = sorted(p.name for p in (ROOT / "results").iterdir())
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == tracked
+    assert len(tracked) == 4
+    for name in tracked:
+        assert (tmp_path / "results" / name).read_bytes() == (
+            ROOT / "results" / name
+        ).read_bytes(), name
+
+
 @pytest.mark.parametrize("alpha", ["abc", "1/0", "1.5", "1/"])
 def test_certify_bad_alpha_exits_2(tmp_path, capsys, alpha):
     inst = tmp_path / "pet.json"
@@ -391,6 +414,38 @@ def test_balanced_certificate_incomplete_exits_2(tmp_path, capsys, tamper):
     )
     assert rc == 2
     assert_one_line_error(capsys)
+
+
+def _charge_nothing(cert):
+    # no balls and every pair charged with charge 0: every per-pair cap holds
+    cert["balls"], cert["dangerous"] = [], []
+    cert["statuses"] = {i: "charged" for i in cert["statuses"]}
+    cert["charges"] = {i: "0/1" for i in cert["charges"]}
+
+
+def _double_a_survivor(cert):
+    victim = next(i for i, s in cert["statuses"].items() if s == "surviving")
+    cert["charges"][victim] = "2/1"
+
+
+@pytest.mark.parametrize("tamper", [None, _charge_nothing, _double_a_survivor])
+def test_balanced_certificate_must_conserve_the_greedy_total(tmp_path, tamper):
+    canon, cert = _balanced_certificate(tmp_path)
+    if tamper is not None:
+        tamper(cert)
+    given, out = tmp_path / "given.json", tmp_path / "out.json"
+    given.write_text(json.dumps(cert))
+    rc = run_cli(
+        "certify", "--kind", "balanced", "--instance", canon,
+        "--delta", 200, "--alpha", "1", "--certificate", given, "--out", out,
+    )
+    payload = json.loads(out.read_text())
+    if tamper is None:
+        assert (rc, payload["verdict"]) == (0, "pass")
+        return
+    assert (rc, payload["verdict"]) == (1, "fail")
+    assert payload["clauses"]["charges_capped"] is False
+    assert any("not the greedy total" in o for o in payload["offenders"])
 
 
 @pytest.mark.parametrize("pairs", [[99], ["x"]])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,25 @@ def test_verifier_rejects_mate_distance_radius():
     aux = AuxiliaryGraph(centers=(0,), edges=())
     report = verify_class_duals(coll, aux, trace, inst)
     assert not report.radii_below_mate_distance
+
+
+def test_verifier_rejects_radius_beyond_size_bounds():
+    inst = blocking_instance()
+    trace = run_greedy(inst, Rule.RULE3)
+    built, aux = build_class_duals(trace, inst, [0, 1, 2])
+    # twice the bound c / (8 lg+ 3) = 1; every other clause still holds
+    coll = replace(built, radius=F(2))
+    assert coll.balls == ((0, 0), (2, 1)) and coll.skipped == (2,)
+    assert aux.edges == ((0, 1),)
+    report = verify_class_duals(coll, aux, trace, inst, class_size=3)
+    assert not report.radius_within_class_bound
+    assert not report.radius_within_subset_bound
+    assert not report.all_ok
+    assert "radius exceeds the class-size bound" in report.offenders
+    assert "radius exceeds the subset-size bound" in report.offenders
+    report = verify_class_duals(coll, aux, trace, inst)
+    assert report.radius_within_class_bound and not report.all_ok
+    assert report.offenders == ("radius exceeds the subset-size bound",)
 
 
 def test_builder_validates_inputs():

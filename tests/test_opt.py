@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -155,11 +156,51 @@ def brute_force_forest(inst):
 @given(st.integers(0, 200))
 @settings(max_examples=12, deadline=None)
 def test_partition_oracle_matches_edge_subset_oracle(seed):
-    inst = gen_random_instance(6, min(9, 15), 3, seed=seed)
-    assert len(inst.graph.edges) <= 12 or True
-    if len(inst.graph.edges) > 12:
-        return
-    assert steiner_forest_exact(inst).weight == brute_force_forest(inst)
+    # m = 5 draws a tree (closed form), m = 9 a cyclic graph (subset DP)
+    for m in (5, 9):
+        inst = gen_random_instance(6, m, 3, seed=seed)
+        assert steiner_forest_exact(inst).weight == brute_force_forest(inst)
+
+
+# sha256 prefixes of serialize_solution for (forest optimum, tree optimum)
+ORACLE_DIGESTS = {
+    ("girth", "petersen"): ("1c9cf303acbc2af2", "31e6ea9ead3daa3b"),
+    ("girth", "heawood"): ("24530a60c704d2cd", "8bb234ed8fe6e08c"),
+    ("random", (400, 399, 8, 0)): ("ad32a2c89528f5bc", "accc47eacffc1ec9"),
+    ("random", (400, 399, 8, 1)): ("f8f21b3aaba5c8eb", "f8f21b3aaba5c8eb"),
+    ("random", (30, 60, 6, 1)): ("c0acc9f858fe329b", "ffe929ac5acbc6d5"),
+    ("random", (30, 60, 7, 27)): ("73109bdc1613e9da", "73109bdc1613e9da"),
+    ("random", (30, 60, 8, 8)): ("f46944d8e346b3db", "f46944d8e346b3db"),
+    ("grid", 4): ("487f7fd27d7e0ead", "487f7fd27d7e0ead"),
+}
+
+
+def unit_grid_instance(n):
+    """n x n unit grid, corner-to-corner and centre pairs: many tied optima."""
+    edges = [(r * n + c, r * n + c + 1, F(1)) for r in range(n) for c in range(n - 1)]
+    edges += [(r * n + c, (r + 1) * n + c, F(1)) for r in range(n - 1) for c in range(n)]
+    last = n * n - 1
+    return make_instance(
+        WeightedGraph(n * n, edges), [(0, last), (n - 1, last - n + 1), (n + 1, last - n - 1)]
+    )
+
+
+@pytest.mark.parametrize("source", list(ORACLE_DIGESTS))
+def test_oracle_edge_choice_is_pinned(source):
+    """Cages, 10-terminal graphs and the grid take the subset DP, the
+    400-vertex trees the closed form; each optimum must pick the same edges
+    as it always has, ties included."""
+    kind, arg = source
+    make = {"girth": gen_girth_lower_bound, "grid": unit_grid_instance}.get(kind)
+    inst = make(arg) if make else gen_random_instance(*arg)
+    sols = (
+        steiner_forest_exact(inst),
+        tree_optimum(inst, cap_terminals=len(inst.terminals())),
+    )
+    digests = tuple(
+        hashlib.sha256(serialize_solution(sol).encode()).hexdigest()[:16] for sol in sols
+    )
+    assert digests == ORACLE_DIGESTS[source]
 
 
 def test_opt_weight_in_ball_whole_graph():
