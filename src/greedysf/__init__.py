@@ -9,7 +9,6 @@ from .errors import (
     RunError,
 )
 from .graph import (
-    Ball,
     Distances,
     PathResult,
     WeightedGraph,

@@ -22,7 +22,6 @@ import enum
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError, InternalConsistencyError, ParseError
 from .exact import (
@@ -33,7 +32,7 @@ from .exact import (
     lg_plus,
     parse_fraction,
 )
-from .graph import Distances
+from .graph import Distances, first_overlap, overlapping_pairs
 from .greedy import RunTrace, equal_cost_classes
 from .instances import Instance
 from .canonical import canonical_report
@@ -119,27 +118,27 @@ def _slack(K: int) -> Fraction:
     return Fraction(1, 200 * L * L)
 
 
+def neighborhood_reach(radius: Fraction, K: int) -> Fraction:
+    """The radius*(1 + 1/(200*L^2)) a ball's neighborhood extends to."""
+    return radius * (1 + _slack(K))
+
+
 def ball_neighborhood(
     trace: RunTrace,
     inst: Instance,
     ball: DualBall,
     K: int,
-    classes: Optional[tuple[ClassInfo, ...]] = None,
-    dist: Optional[Distances] = None,
+    classes: tuple[ClassInfo, ...],
+    dist: Distances,
 ) -> BallNeighborhood:
     """Classify smaller-class pairs around a ball into members/border/interior.
 
-    `dist`, if given, is a search from the ball's center run to at least
-    radius*(1 + 1/(200*L^2)); it is reused instead of searching again.
+    `classes` are the trace's cost classes; `dist` is a search from the
+    ball's center run to at least `neighborhood_reach(ball.radius, K)`.
     """
-    if classes is None:
-        classes = trace_classes(trace)
     class_of = _class_of_pair(classes)
-    eps = _slack(K)
-    up = ball.radius * (1 + eps)
-    low = ball.radius * (1 - eps)
-    if dist is None:
-        dist = Distances(inst.graph, ball.center, up)
+    up = neighborhood_reach(ball.radius, K)
+    low = ball.radius * (1 - _slack(K))
 
     members, border, interior = [], [], []
     for i, pair in enumerate(inst.pairs):
@@ -235,7 +234,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
             )
 
         recharged_this_iteration: set[int] = set()
-        reach = cls.radius_full * (1 + _slack(K))
+        reach = neighborhood_reach(cls.radius_full, K)
         for center, owner in coll.balls:
             ball = DualBall(
                 class_index=cls.index,
@@ -296,7 +295,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
             else:
                 # grow and defer: enlarge until the border carries little,
                 # then mark the whole neighborhood dangerous
-                step = cls.radius_full / (200 * L * L)
+                step = cls.radius_full * _slack(K)
                 t = 0
                 current = halved
                 nbt = nb2
@@ -330,13 +329,13 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
                     increments=t,
                     deferred=list(nbt.members),
                 )
-            members = dist.ball(final.radius).members
-            for prev_idx, prev_members in enumerate(ball_members):
-                if prev_members & members:
-                    raise InternalConsistencyError(
-                        f"ball of pair {final.owner_pair} overlaps ball "
-                        f"{prev_idx}; the separation regime should prevent this"
-                    )
+            members = dist.ball(final.radius)
+            prev_idx = first_overlap(ball_members, members)
+            if prev_idx is not None:
+                raise InternalConsistencyError(
+                    f"ball of pair {final.owner_pair} overlaps ball "
+                    f"{prev_idx}; the separation regime should prevent this"
+                )
             balls.append(final)
             ball_members.append(members)
 
@@ -404,6 +403,8 @@ def verify_balanced(
     for name, table in (("charge", bd.charges), ("status", bd.statuses)):
         if set(table) != pair_ids:
             raise InputError(f"certificate needs exactly one {name} per pair 0..{trace.k - 1}")
+    if bd.dangerous != {i for i, s in bd.statuses.items() if s is PairStatus.DANGEROUS}:
+        raise InputError("certificate's dangerous pairs differ from its dangerous statuses")
     for i, b in enumerate(bd.balls):
         known = b.owner_pair in pair_ids and b.class_index in class_by_index
         if not (known and b.center in range(inst.graph.n)):
@@ -411,17 +412,14 @@ def verify_balanced(
 
     # one search per ball, to its neighborhood's reach, answers both the
     # membership and the neighborhood questions
-    eps = _slack(bd.K)
     dists = [
-        Distances(inst.graph, b.center, b.radius * (1 + eps)) for b in bd.balls
+        Distances(inst.graph, b.center, neighborhood_reach(b.radius, bd.K))
+        for b in bd.balls
     ]
-    member_sets = [d.ball(b.radius).members for d, b in zip(dists, bd.balls)]
-    disjoint = True
-    for i in range(len(bd.balls)):
-        for j in range(i + 1, len(bd.balls)):
-            if member_sets[i] & member_sets[j]:
-                disjoint = False
-                offenders.append(f"balls {i} and {j} overlap")
+    overlaps = overlapping_pairs([d.ball(b.radius) for d, b in zip(dists, bd.balls)])
+    for i, j in overlaps:
+        offenders.append(f"balls {i} and {j} overlap")
+    disjoint = not overlaps
     neighborhoods = [
         ball_neighborhood(trace, inst, b, bd.K, classes, d)
         for b, d in zip(bd.balls, dists)
@@ -541,10 +539,7 @@ def induction_bound_audit(
     lhs = trace.total_cost
     masses: dict[int, Fraction] = {cls.index: Fraction(0) for cls in bd.classes}
     for b in bd.balls:
-        dist = Distances(inst.graph, b.center, b.radius)
-        masses[b.class_index] += opt_weight_in_ball(
-            opt, dist.ball(b.radius), inst.graph, dist
-        )
+        masses[b.class_index] += opt_weight_in_ball(opt, inst.graph, b.center, b.radius)
     first = Fraction(0)
     second = Fraction(0)
     for cls in bd.classes:

@@ -100,6 +100,14 @@ def _load_json(path: str):
         raise ParseError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
+def _load_certificate(path: str):
+    """A certificate, bare or under the `certificate` key of a `certify --out` file."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise ParseError("certificate must be a JSON object")
+    return obj.get("certificate", obj)
+
+
 def _subdivided(inst: Instance) -> Instance:
     eta = default_eta(inst.graph)
     sub, _ = subdivide_edges(inst.graph, eta)
@@ -220,7 +228,7 @@ def _trace_for(args, inst: Instance):
 
 def _certify_balanced(args, inst: Instance, trace) -> tuple[dict, bool]:
     if args.certificate:
-        bd = obj_to_balanced(_load_json(args.certificate))
+        bd = obj_to_balanced(_load_certificate(args.certificate))
     else:
         bd = build_balanced(
             trace, inst, K=args.K or inst.k, delta=args.delta, alpha=args.alpha
@@ -281,6 +289,8 @@ CERTIFY_KINDS = {
 
 
 def cmd_certify(args) -> int:
+    if args.certificate and args.kind != "balanced":
+        raise InputError(f"--certificate is read by --kind balanced only, not {args.kind}")
     inst = _load_instance(args.instance)
     trace = _trace_for(args, inst)
     payload, ok = CERTIFY_KINDS[args.kind](args, inst, trace)
@@ -355,10 +365,7 @@ def cmd_audit(args) -> int:
         )
         return 0 if ok else 1
     if args.kind == "conservation":
-        obj = _load_json(args.certificate)
-        if not isinstance(obj, dict):
-            raise ParseError("certificate must be a JSON object")
-        cert = obj.get("certificate", obj)
+        cert = _load_certificate(args.certificate)
         steps = cert.get("step_log", []) if isinstance(cert, dict) else None
         if not isinstance(steps, list) or not all(isinstance(e, dict) for e in steps):
             raise ParseError("certificate needs a 'step_log' list of step objects")
@@ -467,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alpha", type=_alpha, default="1/1")
     c.add_argument("--delta", type=int, default=200)
     c.add_argument("--K", type=int)
-    c.add_argument("--certificate", help="verify this certificate instead of building")
+    c.add_argument("--certificate", help="balanced only: verify this file instead of building")
     c.add_argument("--out")
     c.set_defaults(func=cmd_certify)
 

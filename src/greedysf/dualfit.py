@@ -17,7 +17,9 @@ from typing import Optional
 
 from .errors import InputError, InternalConsistencyError
 from .exact import format_fraction, lg_plus
-from .graph import Distances, WeightedGraph, girth, open_ball
+from .graph import (
+    Distances, WeightedGraph, first_overlap, girth, open_ball, overlapping_pairs
+)
 from .greedy import RunTrace
 from .instances import Instance
 
@@ -100,21 +102,15 @@ def build_class_duals(
     skipped: list[int] = []
     aux_edges: list[tuple[int, int]] = []
 
-    def first_blocker(candidate: frozenset[int]) -> Optional[int]:
-        for idx, members in enumerate(ball_sets):
-            if members & candidate:
-                return idx
-        return None
-
     for i in sorted(subset):
         pair = inst.pairs[i]
         blockers = []
         placed = False
         for endpoint in (pair.s, pair.t):
             candidate = open_ball(g, endpoint, r)
-            blocker = first_blocker(candidate.members)
+            blocker = first_overlap(ball_sets, candidate)
             if blocker is None:
-                ball_sets.append(candidate.members)
+                ball_sets.append(candidate)
                 balls.append((endpoint, i))
                 placed = True
                 break
@@ -146,7 +142,7 @@ class ClassDualReport:
     centers_at_endpoints: bool
     balls_disjoint: bool
     radii_below_mate_distance: bool
-    radius_within_class_bound: bool  # r <= c / (8 lg+ |class|), if class size given
+    radius_within_class_bound: bool  # r <= c / (8 lg+ |class|)
     radius_within_subset_bound: bool  # r <= c / (8 lg+ |P'|)
     counting_identity: bool  # |P'| == |balls| + |aux edges|
     offenders: tuple[str, ...]
@@ -171,13 +167,13 @@ def verify_class_duals(
     aux: AuxiliaryGraph,
     trace: RunTrace,
     inst: Instance,
-    class_size: Optional[int] = None,
+    class_size: int,
 ) -> ClassDualReport:
     """Check every clause of the per-class collection, naming offenders.
 
-    The radius bound is reported both against the full class size (when
-    given) and against the subset size |P'|; the two readings differ only in
-    which set the log is taken over, so both verdicts are surfaced.
+    The radius bound is reported both against the full class size and
+    against the subset size |P'|; the two readings differ only in which set
+    the log is taken over, so both verdicts are surfaced.
     """
     g = inst.graph
     offenders: list[str] = []
@@ -201,13 +197,10 @@ def verify_class_duals(
             offenders.append(f"ball at {center} is not an endpoint of pair {p}")
 
     dists = [Distances(g, c, coll.radius) for c, _ in coll.balls]
-    member_sets = [d.ball(coll.radius).members for d in dists]
-    disjoint = True
-    for i in range(len(member_sets)):
-        for j in range(i + 1, len(member_sets)):
-            if member_sets[i] & member_sets[j]:
-                disjoint = False
-                offenders.append(f"balls {i} and {j} overlap")
+    overlaps = overlapping_pairs([d.ball(coll.radius) for d in dists])
+    for i, j in overlaps:
+        offenders.append(f"balls {i} and {j} overlap")
+    disjoint = not overlaps
 
     mates_ok = True
     for idx, (center, p) in enumerate(coll.balls):
@@ -217,11 +210,9 @@ def verify_class_duals(
             mates_ok = False
             offenders.append(f"ball {idx} radius reaches its mate distance")
 
-    rad_class_ok = True
-    if class_size is not None and class_size >= 1:
-        rad_class_ok = coll.radius <= coll.class_cost / (8 * lg_plus(class_size))
-        if not rad_class_ok:
-            offenders.append("radius exceeds the class-size bound")
+    rad_class_ok = coll.radius <= coll.class_cost / (8 * lg_plus(class_size))
+    if not rad_class_ok:
+        offenders.append("radius exceeds the class-size bound")
     rad_subset_ok = (
         p_count == 0
         or coll.radius <= coll.class_cost / (8 * lg_plus(max(1, p_count)))

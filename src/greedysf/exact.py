@@ -16,7 +16,7 @@ from .errors import ParseError, InputError
 _FRACTION_RE = re.compile(r"^(0|-?[1-9][0-9]*)/([1-9][0-9]*)$")
 
 
-def parse_fraction(text: str, allow_negative: bool = False) -> Fraction:
+def parse_fraction(text: str) -> Fraction:
     """Parse a canonical reduced "num/den" string.
 
     Only the exact canonical form is accepted: reduced, denominator >= 1,
@@ -31,7 +31,7 @@ def parse_fraction(text: str, allow_negative: bool = False) -> Fraction:
     value = Fraction(num, den)
     if value.numerator != num or value.denominator != den:
         raise ParseError(f"fraction not reduced: {text!r}")
-    if value < 0 and not allow_negative:
+    if value < 0:
         raise ParseError(f"negative value not allowed here: {text!r}")
     return value
 

@@ -81,9 +81,6 @@ class WeightedGraph:
         if not (0 <= v < self.n):
             raise InputError(f"invalid vertex id {v} (n={self.n})")
 
-    def with_extra_edges(self, extra: list[Edge]) -> "WeightedGraph":
-        return WeightedGraph(self.n, list(self.edges) + list(extra))
-
 
 @dataclass(frozen=True)
 class PathResult:
@@ -95,15 +92,6 @@ class PathResult:
     @property
     def reachable(self) -> bool:
         return self.distance is not None
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Open metric ball: members = {u : d(center, u) < radius}, strictly."""
-
-    center: int
-    radius: Fraction
-    members: frozenset[int]
 
 
 def _dijkstra(n, adj, source, target=None, bound=None):
@@ -239,9 +227,11 @@ class Distances:
     did not reach lies beyond the radius; a question whose closed ball could
     hold a vertex beyond the run raises.  Every ball-side question is
     answered by cross-multiplication without building a Fraction per vertex.
+    One run answers every radius up to the one it was run to: the open ball,
+    the zero-border cut, and the side of any vertex.
     """
 
-    __slots__ = ("center", "dist", "scale", "bound")
+    __slots__ = ("graph", "center", "dist", "scale", "bound")
 
     def __init__(self, g: WeightedGraph, center: int, radius: Fraction):
         g.check_vertex(center)
@@ -249,14 +239,18 @@ class Distances:
         if radius < 0:
             raise InputError("ball radius must be nonnegative")
         metric = g.metric
+        self.graph = g
         self.center = center
         self.scale = metric.scale
         self.bound = radius.numerator * self.scale // radius.denominator
         self.dist = _dijkstra(metric.n, metric.adj, center, bound=self.bound)
 
     def _rhs(self, radius: Fraction) -> int:
-        """radius.numerator * scale; raises if the run stopped short of radius."""
+        """radius.numerator * scale; raises if radius is negative or the run
+        stopped short of it."""
         rhs = radius.numerator * self.scale
+        if rhs < 0:
+            raise InputError("ball radius must be nonnegative")
         if rhs // radius.denominator > self.bound:
             raise InternalConsistencyError(
                 f"radius {radius} exceeds the bound this search from "
@@ -273,19 +267,75 @@ class Distances:
         lhs = d * radius.denominator
         return (lhs > rhs) - (lhs < rhs)
 
-    def ball(self, radius: Fraction) -> Ball:
-        """Open ball of this center; radius 0 gives no members."""
+    def ball(self, radius: Fraction) -> frozenset[int]:
+        """Members {u : d(center, u) < radius} of the open ball; radius 0 gives none."""
         radius = Fraction(radius)
-        if radius < 0:
-            raise InputError("ball radius must be nonnegative")
         rden, rhs = radius.denominator, self._rhs(radius)
-        members = frozenset(v for v, d in self.dist.items() if d * rden < rhs)
-        return Ball(self.center, radius, members)
+        return frozenset(v for v, d in self.dist.items() if d * rden < rhs)
+
+    def zero_border(self, radius: Fraction) -> tuple[WeightedGraph, dict[int, int]]:
+        """Graph induced on the closed ball, plus a zero clique on its sphere.
+
+        Requires that no edge jumps over the sphere: an edge with one endpoint
+        strictly inside and the other strictly outside is a precondition error
+        (the caller must subdivide first).  Returns the new graph and the map
+        from old vertex ids to new dense ids.
+        """
+        radius = Fraction(radius)
+        g = self.graph
+        # the closed ball; every vertex the search did not reach is beyond
+        sides = {v: s for v in self.dist if (s := self.side(v, radius)) <= 0}
+        adj = g.adj
+        crossing = [
+            ei for u, su in sides.items() if su < 0 for v, ei in adj[u] if v not in sides
+        ]
+        if crossing:
+            u, v, _ = g.edges[min(crossing)]
+            raise InputError(
+                f"edge ({u},{v}) crosses the sphere of radius {radius}; "
+                "subdivide the graph first"
+            )
+        kept = sorted(sides)
+        remap = {old: new for new, old in enumerate(kept)}
+        inner = {ei for u in kept for v, ei in adj[u] if v in sides}
+        edges = [
+            (remap[u], remap[v], w) for u, v, w in (g.edges[ei] for ei in sorted(inner))
+        ]
+        border = [v for v in kept if sides[v] == 0]
+        for i, u in enumerate(border):
+            for v in border[i + 1 :]:
+                edges.append((remap[u], remap[v], Fraction(0)))
+        return WeightedGraph(len(kept), edges), remap
 
 
-def open_ball(g: WeightedGraph, center: int, radius: Fraction) -> Ball:
-    """Open ball of the given center and radius; radius 0 gives no members."""
+def open_ball(g: WeightedGraph, center: int, radius: Fraction) -> frozenset[int]:
+    """Members of the open ball of the given center and radius."""
     return Distances(g, center, radius).ball(radius)
+
+
+def induced_zero_border(
+    g: WeightedGraph, center: int, radius: Fraction
+) -> tuple[WeightedGraph, dict[int, int]]:
+    """The zero-border cut of the ball of the given center and radius."""
+    return Distances(g, center, radius).zero_border(radius)
+
+
+def overlapping_pairs(member_sets: list[frozenset[int]]) -> list[tuple[int, int]]:
+    """Every (i, j), i < j, whose member sets share a vertex, i-major."""
+    return [
+        (i, j)
+        for i, members in enumerate(member_sets)
+        for j in range(i + 1, len(member_sets))
+        if not members.isdisjoint(member_sets[j])
+    ]
+
+
+def first_overlap(member_sets: list[frozenset[int]], members) -> Optional[int]:
+    """Least index of a member set sharing a vertex with `members`, or None."""
+    for idx, other in enumerate(member_sets):
+        if not other.isdisjoint(members):
+            return idx
+    return None
 
 
 class UnionFind:
@@ -377,45 +427,6 @@ def default_eta(g: WeightedGraph) -> Fraction:
     if num_gcd == 0:
         return Fraction(1)
     return Fraction(num_gcd, den_lcm)
-
-
-def induced_zero_border(
-    g: WeightedGraph, center: int, radius: Fraction
-) -> tuple[WeightedGraph, dict[int, int]]:
-    """Graph induced on the closed ball, plus a zero clique on its sphere.
-
-    Requires that no edge jumps over the sphere: an edge with one endpoint
-    strictly inside and the other strictly outside is a precondition error
-    (the caller must subdivide first).  Returns the new graph and the map
-    from old vertex ids to new dense ids.
-    """
-    radius = Fraction(radius)
-    if radius < 0:
-        raise InputError("radius must be nonnegative")
-    dist = Distances(g, center, radius)
-    # the closed ball; every vertex the search did not reach is beyond
-    sides = {v: dist.side(v, radius) for v in dist.dist}
-    adj = g.adj
-    crossing = [
-        ei for u, su in sides.items() if su < 0 for v, ei in adj[u] if v not in sides
-    ]
-    if crossing:
-        u, v, _ = g.edges[min(crossing)]
-        raise InputError(
-            f"edge ({u},{v}) crosses the sphere of radius {radius}; "
-            "subdivide the graph first"
-        )
-    kept = sorted(sides)
-    remap = {old: new for new, old in enumerate(kept)}
-    inner = {ei for u in kept for v, ei in adj[u] if v in sides}
-    edges = [
-        (remap[u], remap[v], w) for u, v, w in (g.edges[ei] for ei in sorted(inner))
-    ]
-    border = [v for v in kept if sides[v] == 0]
-    for i, u in enumerate(border):
-        for v in border[i + 1 :]:
-            edges.append((remap[u], remap[v], Fraction(0)))
-    return WeightedGraph(len(kept), edges), remap
 
 
 def girth(g: WeightedGraph) -> Optional[int]:

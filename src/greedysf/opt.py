@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 from .errors import CapExceededError, InputError, InternalConsistencyError
 from .exact import format_fraction
-from .graph import Ball, Distances, UnionFind, WeightedGraph
+from .graph import Distances, UnionFind, WeightedGraph, overlapping_pairs
 from .instances import Instance, MateMap
 
 DEFAULT_PAIR_CAP = 8
@@ -348,24 +348,18 @@ def tree_optimum(
 # -- ball queries and the disjoint-ball lower bound ---------------------------
 
 def opt_weight_in_ball(
-    sol: SteinerSolution,
-    ball: Ball,
-    g: WeightedGraph,
-    dist: Optional[Distances] = None,
+    sol: SteinerSolution, g: WeightedGraph, center: int, radius: Fraction
 ) -> Fraction:
     """Total weight of solution edges with both endpoints inside the open ball.
 
     An edge with one endpoint strictly inside and one strictly outside means
-    the graph was not subdivided finely enough: precondition error.  `dist`,
-    if given, is a search from the ball's center run to at least its radius;
-    it is reused instead of searching again.
+    the graph was not subdivided finely enough: precondition error.
     """
-    if dist is None:
-        dist = Distances(g, ball.center, ball.radius)
+    dist = Distances(g, center, radius)
     total = Fraction(0)
     for idx in sol.edge_indices:
         u, v, w = g.edges[idx]
-        su, sv = dist.side(u, ball.radius), dist.side(v, ball.radius)
+        su, sv = dist.side(u, radius), dist.side(v, radius)
         if {su, sv} == {-1, 1}:
             raise InputError(
                 f"solution edge ({u},{v}) crosses the ball boundary; subdivide first"
@@ -412,13 +406,10 @@ def dual_lower_bound_audit(
     offenders: list[str] = []
     radii = [Fraction(radius) for _, radius in balls]
     dists = [Distances(g, center, r) for (center, _), r in zip(balls, radii)]
-    member_sets = [d.ball(r).members for d, r in zip(dists, radii)]
-    disjoint = True
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            if member_sets[i] & member_sets[j]:
-                disjoint = False
-                offenders.append(f"balls {i} and {j} share a vertex")
+    overlaps = overlapping_pairs([d.ball(r) for d, r in zip(dists, radii)])
+    for i, j in overlaps:
+        offenders.append(f"balls {i} and {j} share a vertex")
+    disjoint = not overlaps
     centered = True
     radii_ok = True
     for i, (center, _) in enumerate(balls):

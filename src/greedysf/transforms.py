@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .exact import floor_log2, format_fraction, pow2
-from .graph import Metric, UnionFind, induced_zero_border, shortest_path
+from .graph import Distances, Metric, UnionFind, shortest_path
 from .greedy import (
     Rule,
     RunTrace,
@@ -22,7 +22,7 @@ from .greedy import (
     run_greedy,
 )
 from .instances import Instance, make_instance
-from .balanced import DualBall, ball_neighborhood
+from .balanced import DualBall, ball_neighborhood, neighborhood_reach, trace_classes
 
 
 @dataclass(frozen=True)
@@ -184,9 +184,11 @@ def extract_sub_instance(
     endpoints of every kept pair inside the ball; anything else is a
     canonicity violation.
     """
-    nb = ball_neighborhood(trace, inst, ball, K)
+    # one search, to the neighborhood's reach, answers the cut too
+    dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, K))
+    nb = ball_neighborhood(trace, inst, ball, K, trace_classes(trace), dist)
     kept = [i for i in nb.interior if i in dangerous]
-    sub_graph, remap = induced_zero_border(inst.graph, ball.center, ball.radius)
+    sub_graph, remap = dist.zero_border(ball.radius)
     pairs = []
     schedule = []
     for i in kept:

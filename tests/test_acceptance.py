@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from greedysf.exact import lg_plus
-from greedysf.graph import Ball, default_eta, girth, open_ball, subdivide_edges
+from greedysf.graph import Distances, default_eta, girth, subdivide_edges
 from greedysf.greedy import Rule, equal_cost_classes, run_greedy
 from greedysf.instances import (
     MateMap,
@@ -24,6 +24,7 @@ from greedysf.balanced import (
     ball_neighborhood,
     build_balanced,
     induction_bound_audit,
+    neighborhood_reach,
     verify_balanced,
 )
 from greedysf.dualfit import (
@@ -303,10 +304,7 @@ def test_criterion_08_ball_sub_instances():
             replay = run_greedy(sub, Rule.RULE3)
             for new_i, item in enumerate(receipt.pair_map):
                 assert replay.costs[new_i] == trace.costs[item[0]]
-            members = open_ball(inst.graph, ball.center, ball.radius).members
-            inside = opt_weight_in_ball(
-                parent_opt, Ball(ball.center, ball.radius, members), inst.graph
-            )
+            inside = opt_weight_in_ball(parent_opt, inst.graph, ball.center, ball.radius)
             assert steiner_forest_exact(sub).weight <= inside
 
         # every deferred-growth ball of the construction (none arise at this
@@ -320,7 +318,9 @@ def test_criterion_08_ball_sub_instances():
                 deferred_checked += 1
         # direct interface exercise: defer each nonempty absorbed neighborhood
         for ball in bd.balls:
-            nb = ball_neighborhood(trace, inst, ball, bd.K, bd.classes)
+            reach = neighborhood_reach(ball.radius, bd.K)
+            dist = Distances(inst.graph, ball.center, reach)
+            nb = ball_neighborhood(trace, inst, ball, bd.K, bd.classes, dist)
             if nb.interior:
                 claim_checks(ball, set(nb.interior))
                 direct_checked += 1

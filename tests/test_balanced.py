@@ -5,7 +5,7 @@ import pytest
 
 from greedysf.errors import InputError
 from greedysf.exact import lg_plus
-from greedysf.graph import WeightedGraph
+from greedysf.graph import Distances, WeightedGraph
 from greedysf.greedy import Rule, run_greedy
 from greedysf.instances import gen_canonical_nested, make_instance
 from greedysf.canonical import canonical_report
@@ -14,6 +14,7 @@ from greedysf.balanced import (
     DualBall,
     PairStatus,
     ball_neighborhood,
+    neighborhood_reach,
     balanced_to_obj,
     build_balanced,
     charged_cost,
@@ -92,7 +93,13 @@ def test_ball_neighborhood_far_and_boundary():
         )
         for pid in cls1.pair_ids
     ]
-    neighborhoods = [ball_neighborhood(trace, inst, b, inst.k, classes) for b in balls]
+    neighborhoods = [
+        ball_neighborhood(
+            trace, inst, b, inst.k, classes,
+            Distances(inst.graph, b.center, neighborhood_reach(b.radius, inst.k)),
+        )
+        for b in balls
+    ]
     member_sets = [set(nb.members) for nb in neighborhoods]
     # exactly one host ball sees the planted class-2 pair; the rest see nothing
     non_empty = [m for m in member_sets if m]
@@ -110,7 +117,8 @@ def test_ball_neighborhood_threshold_boundary():
     )
     trace = run_greedy(inst, Rule.RULE3)
     ball = DualBall(class_index=1, center=0, radius=F(8), owner_pair=0)
-    nb = ball_neighborhood(trace, inst, ball, K=2)
+    dist = Distances(g, 0, neighborhood_reach(F(8), 2))
+    nb = ball_neighborhood(trace, inst, ball, 2, trace_classes(trace), dist)
     assert nb.members == (1,)
     assert nb.border == (1,)  # endpoint at exactly r >= r*(1 - eps)
     assert nb.interior == ()

@@ -337,16 +337,16 @@ def test_audit_moore_without_instance_exits_2(capsys):
     assert_one_line_error(capsys)
 
 
-def _balanced_certificate(tmp_path):
+def _balanced_certificate(tmp_path, classes=2, delta=200, seed=1):
     canon = tmp_path / "canon.json"
     run_cli(
-        "generate", "canonical", "--classes", 2, "--per-class", 2,
-        "--delta", 200, "--seed", 1, "--out", canon,
+        "generate", "canonical", "--classes", classes, "--per-class", 2,
+        "--delta", delta, "--seed", seed, "--out", canon,
     )
     cert = tmp_path / "bal.json"
     run_cli(
         "certify", "--kind", "balanced", "--instance", canon,
-        "--delta", 200, "--alpha", "1", "--out", cert,
+        "--delta", delta, "--alpha", "1", "--out", cert,
     )
     return canon, json.loads(cert.read_text())["certificate"]
 
@@ -478,4 +478,64 @@ def test_conservation_malformed_step_log_exits_2(tmp_path, capsys, obj):
     cert = tmp_path / "bad.json"
     cert.write_text(json.dumps(obj))
     assert run_cli("audit", "--kind", "conservation", "--certificate", cert) == 2
+    assert_one_line_error(capsys)
+
+
+def _dangerous_status_unlisted(cert):
+    cert["statuses"]["0"] = "dangerous"
+
+
+def _charged_pair_listed_dangerous(cert):
+    cert["dangerous"] = [3]
+
+
+@pytest.mark.parametrize(
+    "tamper", [_dangerous_status_unlisted, _charged_pair_listed_dangerous]
+)
+def test_balanced_certificate_dangerous_must_match_statuses(tmp_path, capsys, tamper):
+    # an unlisted dangerous pair escapes the cap of clause (e) and the
+    # coverage of clause (a); a listed non-dangerous one is a foreign field
+    canon, cert = _balanced_certificate(tmp_path, classes=3, delta=300, seed=7)
+    assert cert["dangerous"] == [] and cert["statuses"]["3"] == "charged"
+    tamper(cert)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(cert))
+    capsys.readouterr()
+    rc = run_cli(
+        "certify", "--kind", "balanced", "--instance", canon,
+        "--delta", 300, "--alpha", "1", "--certificate", broken,
+    )
+    assert rc == 2
+    assert_one_line_error(capsys)
+
+
+def test_balanced_certificate_round_trip(tmp_path):
+    # the file `certify --out` writes verifies as `--certificate`
+    canon = tmp_path / "canon.json"
+    run_cli(
+        "generate", "canonical", "--classes", 2, "--per-class", 2,
+        "--delta", 200, "--seed", 1, "--out", canon,
+    )
+    written, again = tmp_path / "written.json", tmp_path / "again.json"
+    flags = ("--kind", "balanced", "--instance", canon, "--delta", 200, "--alpha", "1")
+    assert run_cli("certify", *flags, "--out", written) == 0
+    assert run_cli("certify", *flags, "--certificate", written, "--out", again) == 0
+    assert json.loads(again.read_text())["verdict"] == "pass"
+
+
+PETERSEN = ("girth", "--cage", "petersen")
+CANONICAL = ("canonical", "--classes", 3, "--per-class", 2, "--delta", 300, "--seed", 7)
+
+
+@pytest.mark.parametrize("kind", ["class-duals", "dual-lb", "induction-bound"])
+def test_certificate_refused_by_kinds_that_build(tmp_path, capsys, kind):
+    inst, junk = tmp_path / "inst.json", tmp_path / "junk.json"
+    run_cli("generate", *(CANONICAL if kind == "induction-bound" else PETERSEN), "--out", inst)
+    junk.write_text(json.dumps({"garbage": 1}))
+    capsys.readouterr()
+    rc = run_cli(
+        "certify", "--kind", kind, "--instance", inst,
+        "--delta", 300, "--alpha", "1", "--certificate", junk,
+    )
+    assert rc == 2
     assert_one_line_error(capsys)

@@ -90,7 +90,7 @@ def test_verifier_rejects_double_ball():
         class_cost=F(16), radius=F(1), balls=((0, 0), (1, 0)), skipped=()
     )
     aux = AuxiliaryGraph(centers=(0, 1), edges=())
-    report = verify_class_duals(coll, aux, trace, inst)
+    report = verify_class_duals(coll, aux, trace, inst, class_size=3)
     assert not report.one_ball_per_pair
     assert any("more than one ball" in o for o in report.offenders)
 
@@ -103,7 +103,7 @@ def test_verifier_rejects_mate_distance_radius():
         class_cost=F(8), radius=F(8), balls=((0, 0),), skipped=()
     )
     aux = AuxiliaryGraph(centers=(0,), edges=())
-    report = verify_class_duals(coll, aux, trace, inst)
+    report = verify_class_duals(coll, aux, trace, inst, class_size=1)
     assert not report.radii_below_mate_distance
 
 
@@ -121,7 +121,8 @@ def test_verifier_rejects_radius_beyond_size_bounds():
     assert not report.all_ok
     assert "radius exceeds the class-size bound" in report.offenders
     assert "radius exceeds the subset-size bound" in report.offenders
-    report = verify_class_duals(coll, aux, trace, inst)
+    # a class of one pair bounds the radius by c / 8 = 2: only |P'| = 3 binds
+    report = verify_class_duals(coll, aux, trace, inst, class_size=1)
     assert report.radius_within_class_bound and not report.all_ok
     assert report.offenders == ("radius exceeds the subset-size bound",)
 

@@ -1,6 +1,7 @@
 import itertools
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +12,11 @@ from greedysf.graph import (
     WeightedGraph,
     default_eta,
     distances_from,
+    first_overlap,
     girth,
     induced_zero_border,
     open_ball,
+    overlapping_pairs,
     parse_graph,
     serialize_graph,
     shortest_path,
@@ -126,11 +129,11 @@ def test_zero_weight_edges_ok():
 
 def test_open_ball_examples():
     g = path_graph([1, 1])
-    assert open_ball(g, 0, F(0)).members == frozenset()
-    assert open_ball(g, 0, F(3, 2)).members == {0, 1}
+    assert open_ball(g, 0, F(0)) == frozenset()
+    assert open_ball(g, 0, F(3, 2)) == {0, 1}
     # distance exactly 2 is excluded: the ball is open
-    assert open_ball(g, 0, F(2)).members == {0, 1}
-    assert open_ball(g, 0, F(5, 2)).members == {0, 1, 2}
+    assert open_ball(g, 0, F(2)) == {0, 1}
+    assert open_ball(g, 0, F(5, 2)) == {0, 1, 2}
 
 
 def test_distances_side_examples():
@@ -138,7 +141,7 @@ def test_distances_side_examples():
     g = WeightedGraph(4, [(0, 1, F(1, 3)), (1, 2, F(1, 2))])
     dist = Distances(g, 0, F(5, 6))
     assert [dist.side(v, F(5, 6)) for v in range(4)] == [-1, -1, 0, 1]
-    assert dist.ball(F(5, 6)).members == {0, 1}
+    assert dist.ball(F(5, 6)) == {0, 1}
     with pytest.raises(InputError):
         dist.ball(F(-1))
 
@@ -174,7 +177,7 @@ def test_bounded_distances_agree_with_unbounded(g, data):
         expected = [1 if d is None else (d > r) - (d < r) for d in reference]
         assert [bounded.side(v, r) for v in range(g.n)] == expected
         inside = {v for v, side in enumerate(expected) if side < 0}
-        assert bounded.ball(r).members == inside
+        assert bounded.ball(r) == inside
 
 
 def zero_border_reference(g, center, radius):
@@ -199,12 +202,15 @@ def zero_border_reference(g, center, radius):
 def test_induced_zero_border_matches_whole_graph_scan(g, data):
     center = data.draw(st.integers(0, g.n - 1))
     radius = data.draw(st.builds(F, st.integers(0, 30), st.integers(1, 6)))
+    # a search run past the radius, as for a ball's neighborhood, cuts alike
+    farther = Distances(g, center, radius + data.draw(st.integers(0, 30)))
     expected = zero_border_reference(g, center, radius)
-    if isinstance(expected, str):
-        with pytest.raises(InputError, match=re.escape(expected)):
-            induced_zero_border(g, center, radius)
-    else:
-        assert induced_zero_border(g, center, radius) == expected
+    for cut in (partial(induced_zero_border, g, center), farther.zero_border):
+        if isinstance(expected, str):
+            with pytest.raises(InputError, match=re.escape(expected)):
+                cut(radius)
+        else:
+            assert cut(radius) == expected
 
 
 def test_bounded_distances_refuse_larger_radius():
@@ -237,7 +243,7 @@ def test_ball_search_settles_only_the_closed_ball(monkeypatch):
 
     monkeypatch.setattr(graph, "_dijkstra", recording)
     ball = open_ball(g, mid, F(2))
-    assert ball.members == set(chain[499:502])
+    assert ball == set(chain[499:502])
     assert settled == [set(chain[498:503])]
 
 
@@ -265,8 +271,8 @@ def test_shortcut_monotonicity(g, data):
     big = data.draw(st.lists(st.sampled_from(pool), max_size=6))
     cut = data.draw(st.integers(0, len(big)))
     small = big[:cut]
-    g_small = g.with_extra_edges([(u, v, F(0)) for u, v in small])
-    g_big = g.with_extra_edges([(u, v, F(0)) for u, v in big])
+    g_small = WeightedGraph(g.n, [*g.edges, *((u, v, F(0)) for u, v in small)])
+    g_big = WeightedGraph(g.n, [*g.edges, *((u, v, F(0)) for u, v in big)])
     for s in range(g.n):
         d_small = distances_from(g_small, s)
         d_big = distances_from(g_big, s)
@@ -383,3 +389,20 @@ def test_graph_parse_rejects_unreduced_and_unknown():
 def test_self_loop_rejected():
     with pytest.raises(InputError):
         WeightedGraph(2, [(1, 1, F(1))])
+
+
+@given(
+    st.lists(st.frozensets(st.integers(0, 12), max_size=5), max_size=8),
+    st.frozensets(st.integers(0, 12), max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_overlap_queries_match_pairwise_intersection(member_sets, members):
+    expected = [
+        (i, j)
+        for i in range(len(member_sets))
+        for j in range(i + 1, len(member_sets))
+        if member_sets[i] & member_sets[j]
+    ]
+    assert overlapping_pairs(member_sets) == expected
+    hits = [i for i, other in enumerate(member_sets) if other & members]
+    assert first_overlap(member_sets, members) == (hits[0] if hits else None)

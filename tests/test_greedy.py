@@ -287,8 +287,10 @@ def test_rule_shortcut_richness(inst):
         path = trace.paths[i]
         keep = prev | {pair.s, pair.t}
         variants = {
-            rule: inst.graph.with_extra_edges(
-                [(u, v, F(0)) for u, v in apply_contraction_rule(rule, path, keep)]
+            rule: WeightedGraph(
+                inst.graph.n,
+                [*inst.graph.edges,
+                 *((u, v, F(0)) for u, v in apply_contraction_rule(rule, path, keep))],
             )
             for rule in Rule
         }

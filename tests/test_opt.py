@@ -207,10 +207,8 @@ def test_opt_weight_in_ball_whole_graph():
     g = WeightedGraph(3, [(0, 1, F(1)), (1, 2, F(1))])
     inst = make_instance(g, [(0, 2)])
     sol = steiner_forest_exact(inst)
-    ball = open_ball(g, 0, F(100))
-    assert opt_weight_in_ball(sol, ball, g) == sol.weight
-    empty = open_ball(g, 0, F(0))
-    assert opt_weight_in_ball(sol, empty, g) == 0
+    assert opt_weight_in_ball(sol, g, 0, F(100)) == sol.weight
+    assert opt_weight_in_ball(sol, g, 0, F(0)) == 0
 
 
 def test_opt_weight_in_ball_matches_edge_filter():
@@ -228,20 +226,19 @@ def test_opt_weight_in_ball_matches_edge_filter():
         (
             sub.edges[ei][2]
             for ei in sol.edge_indices
-            if sub.edges[ei][0] in ball.members and sub.edges[ei][1] in ball.members
+            if sub.edges[ei][0] in ball and sub.edges[ei][1] in ball
         ),
         F(0),
     )
-    assert opt_weight_in_ball(sol, ball, sub) == expected
+    assert opt_weight_in_ball(sol, sub, pair.s, radius) == expected
 
 
 def test_opt_weight_in_ball_crossing_edge():
     g = WeightedGraph(2, [(0, 1, F(2))])
     inst = make_instance(g, [(0, 1)])
     sol = steiner_forest_exact(inst)
-    ball = open_ball(g, 0, F(1))
     with pytest.raises(InputError):
-        opt_weight_in_ball(sol, ball, g)
+        opt_weight_in_ball(sol, g, 0, F(1))
 
 
 def test_dual_lower_bound_empty():

@@ -4,7 +4,7 @@ import pytest
 
 from greedysf.errors import InputError
 from greedysf.exact import pow2
-from greedysf.graph import WeightedGraph, distances_from
+from greedysf.graph import Distances, WeightedGraph, distances_from
 from greedysf.greedy import Rule, run_greedy
 from greedysf.instances import (
     MateMap,
@@ -14,9 +14,13 @@ from greedysf.instances import (
     make_instance,
 )
 from greedysf.canonical import canonical_report
-from greedysf.balanced import DualBall, trace_classes
+from greedysf.balanced import (
+    DualBall,
+    ball_neighborhood,
+    neighborhood_reach,
+    trace_classes,
+)
 from greedysf.opt import steiner_forest_exact, opt_weight_in_ball
-from greedysf.graph import open_ball
 from greedysf.transforms import (
     augment_subdivided_solution,
     extract_sub_instance,
@@ -191,9 +195,8 @@ def nested_host_ball(inst, trace, K):
             radius=cls1.radius_full / 2,
             owner_pair=pid,
         )
-        from greedysf.balanced import ball_neighborhood
-
-        if ball_neighborhood(trace, inst, ball, K, classes).interior:
+        dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, K))
+        if ball_neighborhood(trace, inst, ball, K, classes, dist).interior:
             return ball, classes
     raise AssertionError("no host ball found")
 
@@ -204,6 +207,27 @@ def test_extract_sub_instance_empty_when_no_deferred():
     ball, _ = nested_host_ball(inst, trace, inst.k)
     out, receipt, _ = extract_sub_instance(inst, trace, ball, set(), inst.k)
     assert out.k == 0
+
+
+def test_extract_sub_instance_searches_once(monkeypatch):
+    from greedysf import graph
+
+    inst = gen_canonical_nested(2, 2, 200, seed=3)
+    trace = run_greedy(inst, Rule.RULE3)
+    ball, classes = nested_host_ball(inst, trace, inst.k)
+    dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, inst.k))
+    deferred = set(ball_neighborhood(trace, inst, ball, inst.k, classes, dist).interior)
+    sources = []
+    search = graph._dijkstra
+
+    def counting(n, adj, source, *args, **kwargs):
+        sources.append(source)
+        return search(n, adj, source, *args, **kwargs)
+
+    monkeypatch.setattr(graph, "_dijkstra", counting)
+    extract_sub_instance(inst, trace, ball, deferred, inst.k)
+    # one search to the neighborhood's reach answers the cut as well
+    assert sources == [ball.center]
 
 
 def test_extract_sub_instance_rejects_escaping_schedule_edge():
@@ -224,9 +248,8 @@ def test_extract_sub_instance_replays_costs_and_bounds_opt():
     inst = gen_canonical_nested(2, 2, 200, seed=3)
     trace = run_greedy(inst, Rule.RULE3)
     ball, classes = nested_host_ball(inst, trace, inst.k)
-    from greedysf.balanced import ball_neighborhood
-
-    deferred = set(ball_neighborhood(trace, inst, ball, inst.k, classes).interior)
+    dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, inst.k))
+    deferred = set(ball_neighborhood(trace, inst, ball, inst.k, classes, dist).interior)
     out, receipt, remap = extract_sub_instance(inst, trace, ball, deferred, inst.k)
     assert out.k == len(deferred)
     replay = run_greedy(out, Rule.RULE3)
@@ -235,12 +258,7 @@ def test_extract_sub_instance_replays_costs_and_bounds_opt():
         assert replay.costs[new_i] == trace.costs[old_i]
     # the split-off optimum never beats the parent's mass inside the ball
     parent_opt = steiner_forest_exact(inst)
-    members = open_ball(inst.graph, ball.center, ball.radius).members
-    from greedysf.graph import Ball
-
-    inside = opt_weight_in_ball(
-        parent_opt, Ball(ball.center, ball.radius, members), inst.graph
-    )
+    inside = opt_weight_in_ball(parent_opt, inst.graph, ball.center, ball.radius)
     assert steiner_forest_exact(out).weight <= inside
 
 
