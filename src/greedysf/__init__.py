@@ -42,6 +42,7 @@ from .greedy import (
 from .opt import (
     SteinerSolution,
     dual_lower_bound_audit,
+    exact_optima,
     opt_weight_in_ball,
     steiner_forest_exact,
     steiner_tree_exact,

@@ -71,7 +71,6 @@ class BallNeighborhood:
     non-strict thresholds radius*(1 +- 1/(200*L^2)), L = lg_plus(K).
     """
 
-    ball: DualBall
     members: tuple[int, ...]  # B_P
     border: tuple[int, ...]  # pairs with an endpoint at distance >= low threshold
     interior: tuple[int, ...]  # members minus border
@@ -152,7 +151,6 @@ def ball_neighborhood(
         else:
             interior.append(i)
     return BallNeighborhood(
-        ball=ball,
         members=tuple(members),
         border=tuple(border),
         interior=tuple(interior),
@@ -517,7 +515,6 @@ class InductionReport:
     lhs: Fraction
     rhs_upper: Fraction
     per_class_opt_mass: tuple[tuple[int, Fraction], ...]
-    class_count: int
 
 
 def induction_bound_audit(
@@ -554,7 +551,6 @@ def induction_bound_audit(
         lhs=lhs,
         rhs_upper=rhs,
         per_class_opt_mass=tuple(sorted(masses.items())),
-        class_count=M,
     )
 
 

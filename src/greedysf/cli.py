@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import re
@@ -41,8 +42,8 @@ from .greedy import (
 from .opt import (
     CapExceededError,
     dual_lower_bound_audit,
+    exact_optima,
     steiner_forest_exact,
-    tree_optimum,
 )
 from .dualfit import (
     build_class_duals,
@@ -89,13 +90,21 @@ def _write(path: str, text: str):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _read_text(path: str, newline=None) -> str:
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
 def _load_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    return parse_instance(_read_text(path))
 
 
 def _load_json(path: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
 
@@ -146,15 +155,13 @@ def cmd_run(args) -> int:
     verdicts = []
     if not args.no_opt:
         try:
-            opt_w = steiner_forest_exact(inst).weight
-            ratio = trace.total_cost / opt_w if opt_w else None
-            verdicts.append("opt<=greedy:" + str(opt_w <= trace.total_cost).lower())
+            forest, tstar_w = exact_optima(inst)
         except CapExceededError:
             verdicts.append("opt:skipped-cap")
-        try:
-            tstar_w = tree_optimum(inst).weight
-        except (CapExceededError, GreedysfError):
-            pass
+        else:
+            opt_w = forest.weight
+            ratio = trace.total_cost / opt_w if opt_w else None
+            verdicts.append("opt<=greedy:" + str(opt_w <= trace.total_cost).lower())
     # an infinite contraction dominates the max; the min ignores it
     finite = [c for c in trace.contraction if c is not None]
     cmin = min(finite) if finite else None
@@ -218,7 +225,7 @@ def _trace_for(args, inst: Instance):
     rule = Rule.parse(args.rule)
     trace = run_greedy(inst, rule)
     if getattr(args, "trace", None):
-        given = parse_trace(Path(args.trace).read_text(encoding="utf-8"))
+        given = parse_trace(_read_text(args.trace))
         if given.rule is not rule:
             raise GreedysfError("trace file was recorded under a different rule")
         if given.paths != trace.paths or given.costs != trace.costs:
@@ -230,9 +237,8 @@ def _certify_balanced(args, inst: Instance, trace) -> tuple[dict, bool]:
     if args.certificate:
         bd = obj_to_balanced(_load_certificate(args.certificate))
     else:
-        bd = build_balanced(
-            trace, inst, K=args.K or inst.k, delta=args.delta, alpha=args.alpha
-        )
+        K = inst.k if args.K is None else args.K
+        bd = build_balanced(trace, inst, K=K, delta=args.delta, alpha=args.alpha)
     report = verify_balanced(bd, trace, inst, args.delta)
     clauses = asdict(report)
     offenders = list(clauses.pop("offenders"))
@@ -241,9 +247,8 @@ def _certify_balanced(args, inst: Instance, trace) -> tuple[dict, bool]:
 
 
 def _certify_induction_bound(args, inst: Instance, trace) -> tuple[dict, bool]:
-    bd = build_balanced(
-        trace, inst, K=args.K or inst.k, delta=args.delta, alpha=args.alpha
-    )
+    K = inst.k if args.K is None else args.K
+    bd = build_balanced(trace, inst, K=K, delta=args.delta, alpha=args.alpha)
     opt = steiner_forest_exact(inst)
     rep = induction_bound_audit(bd, opt, inst, trace, args.delta)
     payload = {
@@ -382,13 +387,12 @@ def cmd_report(args) -> int:
     rows = []
     fields = None
     for path in args.runs:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if fields is None:
-                fields = reader.fieldnames
-            elif reader.fieldnames != fields:
-                raise GreedysfError(f"CSV schema mismatch in {path}")
-            rows.extend(reader)
+        reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
+        if fields is None:
+            fields = reader.fieldnames
+        elif reader.fieldnames != fields:
+            raise GreedysfError(f"CSV schema mismatch in {path}")
+        rows.extend(reader)
     if fields != RUN_CSV_FIELDS:
         raise GreedysfError("input CSVs do not follow the run-row schema")
     out_dir = Path(args.out_dir)

@@ -136,7 +136,6 @@ def build_class_duals(
 
 @dataclass(frozen=True)
 class ClassDualReport:
-    uniform_radius: bool
     skipped_fraction_ok: bool  # |P'| <= 5 |balls|
     one_ball_per_pair: bool
     centers_at_endpoints: bool
@@ -150,8 +149,7 @@ class ClassDualReport:
     @property
     def all_ok(self) -> bool:
         return (
-            self.uniform_radius
-            and self.skipped_fraction_ok
+            self.skipped_fraction_ok
             and self.one_ball_per_pair
             and self.centers_at_endpoints
             and self.balls_disjoint
@@ -227,7 +225,6 @@ def verify_class_duals(
         )
 
     return ClassDualReport(
-        uniform_radius=True,  # structural: the collection carries one radius
         skipped_fraction_ok=skipped_ok,
         one_ball_per_pair=one_each,
         centers_at_endpoints=centers_ok,

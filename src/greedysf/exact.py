@@ -2,7 +2,7 @@
 
 Every weight, distance, radius, charge and bound in this package is a
 `fractions.Fraction`.  This module holds the parsing/formatting of the
-canonical "num/den" text form, exact base-2 logarithm helpers, and certified
+canonical "num/den" text form and of JSON integers and lists, exact base-2 logarithm helpers, and certified
 rational brackets for the irrational constants used by the audit thresholds.
 """
 
@@ -34,6 +34,28 @@ def parse_fraction(text: str) -> Fraction:
     if value < 0:
         raise ParseError(f"negative value not allowed here: {text!r}")
     return value
+
+
+def parse_int(value, what: str) -> int:
+    """A JSON integer: an int that is not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{what} must be an integer")
+    return value
+
+
+def parse_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list")
+    return value
+
+
+def parse_edge(item, what: str) -> tuple[int, int, Fraction]:
+    """A JSON [u, v, "num/den"] triple with integer endpoints."""
+    if not (isinstance(item, list) and len(item) == 3):
+        raise ParseError(f"{what} must be [u, v, weight]")
+    u, v, w = item
+    end = f"{what} endpoint"
+    return parse_int(u, end), parse_int(v, end), parse_fraction(w)
 
 
 def format_fraction(value: Fraction) -> str:

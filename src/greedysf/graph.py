@@ -17,7 +17,7 @@ from heapq import heappush, heappop
 from typing import Iterable, Optional
 
 from .errors import InputError, InternalConsistencyError, ParseError
-from .exact import parse_fraction, format_fraction
+from .exact import format_fraction, parse_edge, parse_int, parse_list
 
 Edge = tuple[int, int, Fraction]
 
@@ -487,17 +487,11 @@ def obj_to_graph(obj) -> WeightedGraph:
         raise ParseError(f"graph object has unknown fields: {sorted(unknown)}")
     if "n" not in obj or "edges" not in obj:
         raise ParseError("graph object needs fields 'n' and 'edges'")
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError("graph field 'n' must be an integer")
-    edges = []
-    for i, item in enumerate(obj["edges"]):
-        if not (isinstance(item, list) and len(item) == 3):
-            raise ParseError(f"edges[{i}] must be [u, v, weight]")
-        u, v, w = item
-        if not isinstance(u, int) or not isinstance(v, int):
-            raise ParseError(f"edges[{i}] endpoints must be integers")
-        edges.append((u, v, parse_fraction(w)))
+    n = parse_int(obj["n"], "graph field 'n'")
+    edges = [
+        parse_edge(item, f"edges[{i}]")
+        for i, item in enumerate(parse_list(obj["edges"], "graph field 'edges'"))
+    ]
     try:
         return WeightedGraph(n, edges)
     except InputError as exc:

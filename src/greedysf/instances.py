@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, ParseError
-from .exact import format_fraction, lg_plus, parse_fraction, pow2
+from .exact import format_fraction, lg_plus, parse_edge, parse_int, parse_list, pow2
 from .graph import WeightedGraph, girth, obj_to_graph, graph_to_obj
 
 
@@ -154,18 +154,14 @@ def obj_to_instance(obj) -> Instance:
             raise ParseError(f"instance is missing field {field!r}")
     g = obj_to_graph(obj["graph"])
     pairs = []
-    for i, item in enumerate(obj["pairs"]):
+    for i, item in enumerate(parse_list(obj["pairs"], "pairs")):
         if not (isinstance(item, list) and len(item) == 2):
             raise ParseError(f"pairs[{i}] must be [s, t]")
-        pairs.append((item[0], item[1]))
+        pairs.append(tuple(parse_int(v, f"pairs[{i}] endpoint") for v in item))
     schedule = []
-    for i, edges in enumerate(obj["schedule"]):
-        row = []
-        for j, item in enumerate(edges):
-            if not (isinstance(item, list) and len(item) == 3):
-                raise ParseError(f"schedule[{i}][{j}] must be [u, v, weight]")
-            row.append((item[0], item[1], parse_fraction(item[2])))
-        schedule.append(row)
+    for i, row in enumerate(parse_list(obj["schedule"], "schedule")):
+        row = parse_list(row, f"schedule[{i}]")
+        schedule.append([parse_edge(e, f"schedule[{i}][{j}]") for j, e in enumerate(row)])
     inst = make_instance(g, pairs, schedule)
     problems = validate_instance(inst)
     if problems:

@@ -296,11 +296,11 @@ def set_partitions(items: list) -> Iterator[list[list]]:
     yield from rec(0)
 
 
-def steiner_forest_exact(inst: Instance) -> SteinerSolution:
-    """Exact minimum-weight forest connecting every pair.
-
-    Minimizes over all partitions of the pair list, connecting each block's
-    terminal union by an exact Steiner tree.  Schedule edges are never used.
+def exact_optima(inst: Instance) -> tuple[SteinerSolution, Optional[Fraction]]:
+    """Exact minimum-weight forest connecting every pair, minimized over the
+    partitions of the pair list, and the weight of its one-block partition: the
+    optimum single tree (None if the terminals are disconnected or absent).
+    Schedule edges are never used.
     """
     cap = _pair_cap()
     if inst.k > cap:
@@ -308,7 +308,7 @@ def steiner_forest_exact(inst: Instance) -> SteinerSolution:
     g = inst.graph
     terminals = tuple(sorted(inst.terminals()))
     if not terminals:
-        return _solution(g, (), ())
+        return _solution(g, (), ()), None
     term_pos = {t: i for i, t in enumerate(terminals)}
     pair_mask = [
         (1 << term_pos[p.s]) | (1 << term_pos[p.t]) for p in inst.pairs
@@ -335,7 +335,13 @@ def steiner_forest_exact(inst: Instance) -> SteinerSolution:
     sol = _solution(g, edge_idx, terminals)
     if sol.weight != Fraction(best, g.metric.scale):
         raise InternalConsistencyError("partition weight mismatch")
-    return sol
+    tree = oracle.weight((1 << len(terminals)) - 1)
+    return sol, None if tree is None else Fraction(tree, g.metric.scale)
+
+
+def steiner_forest_exact(inst: Instance) -> SteinerSolution:
+    """Exact minimum-weight forest connecting every pair."""
+    return exact_optima(inst)[0]
 
 
 def tree_optimum(
@@ -375,7 +381,6 @@ class DualLowerBoundReport:
     centers_are_terminals: bool
     radii_below_mate_distance: bool
     sum_radii: Fraction
-    opt_weight: Fraction
     bound_holds: bool
     vacuous: bool
     offenders: tuple[str, ...]
@@ -428,7 +433,6 @@ def dual_lower_bound_audit(
         centers_are_terminals=centered,
         radii_below_mate_distance=radii_ok,
         sum_radii=total,
-        opt_weight=Fraction(opt_weight),
         bound_holds=(total <= opt_weight) if premises else False,
         vacuous=not premises,
         offenders=tuple(offenders),

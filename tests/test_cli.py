@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from greedysf import opt
 from greedysf.cli import main
+from greedysf.exact import format_fraction
+from greedysf.instances import parse_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -28,6 +31,7 @@ def exit_code(*argv):
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_generate_girth(tmp_path, capsys):
@@ -539,3 +543,111 @@ def test_certificate_refused_by_kinds_that_build(tmp_path, capsys, kind):
     )
     assert rc == 2
     assert_one_line_error(capsys)
+
+
+def _run_row(capsys, inst):
+    capsys.readouterr()
+    assert run_cli("run", "--instance", inst, "--rule", "3") == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_run_builds_one_tree_oracle(tmp_path, monkeypatch):
+    inst = tmp_path / "pet.json"
+    run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
+    build, calls = opt._tree_oracle, []
+
+    def counting(g, terminals):
+        calls.append(terminals)
+        return build(g, terminals)
+
+    monkeypatch.setattr(opt, "_tree_oracle", counting)
+    assert run_cli("run", "--instance", inst, "--rule", "3") == 0
+    assert len(calls) == 1
+
+
+def test_run_past_the_pair_cap_skips_opt_and_tstar(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STEINER_CAP_PAIRS", raising=False)
+    inst = tmp_path / "r.json"
+    run_cli("generate", "random", "--n", 6, "--m", 10, "--k", 9, "--seed", 0, "--out", inst)
+    row = _run_row(capsys, inst)
+    assert (row["opt_cost"], row["tstar_cost"], row["verdicts"]) == ("", "", "opt:skipped-cap")
+
+
+def test_run_fills_tstar_past_the_tree_terminal_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STEINER_CAP_PAIRS", raising=False)
+    path = tmp_path / "r.json"
+    run_cli("generate", "random", "--n", 30, "--m", 29, "--k", 7, "--seed", 2, "--out", path)
+    inst = parse_instance(path.read_text())
+    assert len(inst.terminals()) == 13
+    row = _run_row(capsys, path)
+    assert row["opt_cost"] != ""
+    assert row["tstar_cost"] == format_fraction(opt.tree_optimum(inst, cap_terminals=13).weight)
+
+
+@pytest.mark.parametrize("kind", ["balanced", "induction-bound"])
+def test_certify_K_zero_exits_2(tmp_path, capsys, kind):
+    inst = tmp_path / "canon.json"
+    run_cli(
+        "generate", "canonical", "--classes", 2, "--per-class", 2,
+        "--delta", 300, "--seed", 1, "--out", inst,
+    )
+    capsys.readouterr()
+    rc = run_cli(
+        "certify", "--kind", kind, "--instance", inst,
+        "--K", 0, "--delta", 300, "--alpha", "1",
+    )
+    assert rc == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("pairs",), 5),
+        (("schedule",), 5),
+        (("schedule", 0), 5),
+        (("graph", "edges"), 5),
+        (("pairs", 0), [0, "a"]),
+        (("pairs", 0), [0, 1.5]),
+        (("schedule", 0), [[0, "x", "1/1"]]),
+        (("pairs", 0), [True, 2]),
+        (("graph", "edges", 1), [True, 2, "1/1"]),
+    ],
+    ids=[
+        "pairs-not-list", "schedule-not-list", "schedule-row-not-list",
+        "edges-not-list", "pair-str", "pair-float", "schedule-edge-str",
+        "pair-bool", "edge-bool",
+    ],
+)
+def test_malformed_instance_exits_2(tmp_path, capsys, where, value):
+    obj = {
+        "graph": {"n": 3, "edges": [[0, 1, "1/1"], [1, 2, "1/1"]]},
+        "pairs": [[0, 2]],
+        "schedule": [[]],
+    }
+    *parents, last = where
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(obj))
+    assert run_cli("run", "--instance", inst, "--rule", "3", "--no-opt") == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("reader", ["run", "certify", "audit", "report"])
+def test_non_utf8_file_exits_2(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe{}")
+    inst = tmp_path / "pet.json"
+    run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
+    argv = {
+        "run": ["run", "--instance", bad, "--rule", "3"],
+        "certify": ["certify", "--kind", "class-duals", "--instance", inst, "--trace", bad],
+        "audit": ["audit", "--kind", "conservation", "--certificate", bad],
+        "report": ["report", "--runs", bad, "--out-dir", tmp_path / "r"],
+    }[reader]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert str(bad) in assert_one_line_error(capsys)

@@ -16,6 +16,7 @@ from greedysf.instances import (
 )
 from greedysf.opt import (
     dual_lower_bound_audit,
+    exact_optima,
     opt_weight_in_ball,
     serialize_solution,
     set_partitions,
@@ -113,7 +114,9 @@ def test_tree_optimum_examples():
 def test_forest_not_worse_than_tree():
     for seed in range(6):
         inst = gen_random_instance(8, 12, 3, seed=seed)
-        assert steiner_forest_exact(inst).weight <= tree_optimum(inst).weight
+        forest, tree = steiner_forest_exact(inst), tree_optimum(inst)
+        assert forest.weight <= tree.weight
+        assert exact_optima(inst) == (forest, tree.weight)
 
 
 @pytest.mark.parametrize("rule", list(Rule))
