@@ -46,8 +46,8 @@ def main() -> int:
                         "--csv", str(runs_csv)]
                 if cage in ("mcgee", "tutte_coxeter"):
                     # skipped for time: McGee is within the oracle caps but its
-                    # one exact solve takes about 0.9 s per rule; Tutte-Coxeter's
-                    # forest optimum would run a 16-terminal subset DP for minutes
+                    # one exact solve takes about 0.3 s per rule; Tutte-Coxeter's
+                    # forest optimum runs a 16-terminal subset DP for about 30 s
                     argv.append("--no-opt")
                 cli_main(argv)
             totals = compare_rules(inst)

@@ -383,8 +383,17 @@ def cmd_audit(args) -> int:
     raise GreedysfError(f"unknown audit kind {args.kind}")
 
 
+def _bucket(contraction: str) -> str:
+    """The histogram bucket [2^e, 2^(e+1)) of a contraction cell, or "inf"."""
+    if contraction == "inf":
+        return "inf"
+    e = floor_log2(parse_fraction(contraction))
+    return f"[2^{e},2^{e + 1})"
+
+
 def cmd_report(args) -> int:
     rows = []
+    labels = []
     fields = None
     for path in args.runs:
         reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
@@ -392,9 +401,18 @@ def cmd_report(args) -> int:
             fields = reader.fieldnames
         elif reader.fieldnames != fields:
             raise GreedysfError(f"CSV schema mismatch in {path}")
-        rows.extend(reader)
-    if fields != RUN_CSV_FIELDS:
-        raise GreedysfError("input CSVs do not follow the run-row schema")
+        if fields != RUN_CSV_FIELDS:
+            raise GreedysfError("input CSVs do not follow the run-row schema")
+        for r in reader:
+            try:
+                if None in r or None in r.values():
+                    raise ParseError(f"expected {len(fields)} cells")
+                if not re.fullmatch(r"[0-9]+", r["k"]):
+                    raise ParseError(f"k is not an integer: {r['k']!r}")
+                labels.extend(_bucket(r[b]) for b in ("contraction_min", "contraction_max"))
+            except GreedysfError as exc:
+                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+            rows.append(r)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -409,15 +427,8 @@ def cmd_report(args) -> int:
             writer.writerow([r["k"], r["instance"], r["rule"], r["ratio"], r["ratio_dec"]])
 
     buckets: dict[str, int] = {}
-    for r in rows:
-        for bound in ("contraction_min", "contraction_max"):
-            value = r[bound]
-            if value == "inf":
-                label = "inf"
-            else:
-                e = floor_log2(parse_fraction(value))
-                label = f"[2^{e},2^{e + 1})"
-            buckets[label] = buckets.get(label, 0) + 1
+    for label in labels:
+        buckets[label] = buckets.get(label, 0) + 1
     with open(
         out_dir / "contraction_histogram.csv", "w", newline="", encoding="utf-8"
     ) as fh:

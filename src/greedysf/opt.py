@@ -5,7 +5,7 @@ masks (with a closed-form fast path on acyclic graphs, where the minimal
 connecting subtree is unique).  Steiner forests enumerate set partitions of
 the pair list and sum per-block trees, which is correct because every
 optimal forest component serves some subset of the pairs.  Size caps keep
-the Bell-number times 3^t work deliberate rather than accidental.
+the Bell-number times 3^(t-1) work deliberate rather than accidental.
 """
 
 from __future__ import annotations
@@ -29,7 +29,11 @@ PAIR_CAP_ENV = "STEINER_CAP_PAIRS"
 
 def _pair_cap() -> int:
     env = os.environ.get(PAIR_CAP_ENV)
-    return int(env) if env else DEFAULT_PAIR_CAP
+    if not env:
+        return DEFAULT_PAIR_CAP
+    if not (env.isascii() and env.isdigit()):
+        raise InputError(f"{PAIR_CAP_ENV} must be a non-negative integer, not {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,11 @@ class _ForestIndex:
 
 
 class SteinerTable:
-    """Subset DP: dp[mask][v] = min weight of a tree spanning {terminals in mask, v}."""
+    """Subset DP: dp[mask][v] = min weight of a tree spanning {terminals in mask, v}.
+
+    The DP is rooted at the first terminal (Dreyfus & Wagner's root q): it
+    builds only the 2^(t-1) masks without bit 0, and answers a mask from the
+    entry of its lowest terminal in the mask of the others."""
 
     def __init__(self, g: WeightedGraph, terminals: tuple[int, ...]):
         self.g = g
@@ -154,13 +162,12 @@ class SteinerTable:
         # dp[0]: every vertex alone, the tree a single-terminal mask asks for
         self.dp: dict[int, list] = {0: [0] * g.n}
         self.par: dict[int, list] = {0: [("base",)] * g.n}
-        for i, term in enumerate(terminals):
+        # weight/edges root each mask at its lowest terminal: no read mask holds bit 0
+        for i, term in enumerate(terminals[1:], 1):
             self._seed_and_walk(1 << i, self._single_seed(term))
-        t = len(terminals)
-        for mask in range(1, 1 << t):
-            if mask & (mask - 1) == 0 or mask in self.dp:
-                continue
-            self._build(mask)
+        for mask in range(2, 1 << len(terminals), 2):
+            if mask & (mask - 1):
+                self._build(mask)
 
     def _single_seed(self, term):
         seed = [None] * self.g.n

@@ -253,6 +253,45 @@ def test_report_schema_mismatch(tmp_path):
     assert run_cli("report", "--runs", bad, "--out-dir", tmp_path / "r") == 2
 
 
+def _petersen_run_csv(tmp_path):
+    inst = tmp_path / "pet.json"
+    run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
+    csv_path = tmp_path / "runs.csv"
+    run_cli("run", "--instance", inst, "--rule", "3", "--csv", csv_path)
+    return csv_path
+
+
+def test_report_non_integer_k_exits_2(tmp_path, capsys):
+    csv_path = _petersen_run_csv(tmp_path)
+    header, row = csv_path.read_text().splitlines()
+    cells = row.split(",")
+    cells[header.split(",").index("k")] = "x"
+    csv_path.write_text(header + "\n" + ",".join(cells) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", "--runs", csv_path, "--out-dir", tmp_path / "r") == 2
+    err = assert_one_line_error(capsys)
+    assert str(csv_path) in err and "line 2" in err
+
+
+def test_report_short_row_exits_2(tmp_path, capsys):
+    csv_path = _petersen_run_csv(tmp_path)
+    with open(csv_path, "a") as fh:
+        fh.write("a,b\n")
+    capsys.readouterr()
+    assert run_cli("report", "--runs", csv_path, "--out-dir", tmp_path / "r") == 2
+    err = assert_one_line_error(capsys)
+    assert str(csv_path) in err and "line 3" in err
+
+
+def test_run_malformed_pair_cap_env_exits_2(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "pet.json"
+    run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
+    monkeypatch.setenv("STEINER_CAP_PAIRS", "x")
+    capsys.readouterr()
+    assert run_cli("run", "--instance", inst, "--rule", "3") == 2
+    assert "STEINER_CAP_PAIRS" in assert_one_line_error(capsys)
+
+
 def test_readme_command_block_runs(tmp_path, monkeypatch):
     text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

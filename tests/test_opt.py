@@ -15,6 +15,7 @@ from greedysf.instances import (
     make_instance,
 )
 from greedysf.opt import (
+    SteinerTable,
     dual_lower_bound_audit,
     exact_optima,
     opt_weight_in_ball,
@@ -68,6 +69,22 @@ def test_pair_cap_env_override(monkeypatch):
     monkeypatch.setenv("STEINER_CAP_PAIRS", "9")
     sol = steiner_forest_exact(inst)
     assert sol.weight == 9  # every pair is one unit edge
+
+
+@pytest.mark.parametrize("value", ["x", "-1", "1.5", " 9"])
+def test_pair_cap_env_must_be_a_nonnegative_integer(monkeypatch, value):
+    inst = make_instance(WeightedGraph(2, [(0, 1, F(1))]), [(0, 1)])
+    monkeypatch.setenv("STEINER_CAP_PAIRS", value)
+    with pytest.raises(InputError, match="STEINER_CAP_PAIRS"):
+        steiner_forest_exact(inst)
+
+
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_steiner_table_builds_only_masks_without_the_root(t):
+    inst = gen_girth_lower_bound("petersen")
+    table = SteinerTable(inst.graph, tuple(sorted(inst.terminals()))[:t])
+    assert sorted(table.dp) == list(range(0, 1 << t, 2))
+    assert sorted(table.par) == sorted(table.dp)
 
 
 def test_forest_single_pair():
@@ -163,6 +180,39 @@ def test_partition_oracle_matches_edge_subset_oracle(seed):
     for m in (5, 9):
         inst = gen_random_instance(6, m, 3, seed=seed)
         assert steiner_forest_exact(inst).weight == brute_force_forest(inst)
+
+
+@st.composite
+def small_graph_and_terminals(draw):
+    n = draw(st.integers(2, 7))
+    slots = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=8))
+    edges = [
+        (u, v, F(draw(st.integers(0, 6)), draw(st.integers(1, 3)))) for u, v in chosen
+    ]
+    terminals = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True))
+    return WeightedGraph(n, edges), tuple(sorted(terminals))
+
+
+@given(small_graph_and_terminals())
+@settings(max_examples=40, deadline=None)
+def test_steiner_table_matches_edge_subsets_on_every_mask(case):
+    """Every nonempty mask, the first terminal's bit included: the tree joining
+    the masked terminals is the forest of (first masked terminal, each other)."""
+    g, terminals = case
+    table = SteinerTable(g, terminals)
+    for mask in range(1, 1 << len(terminals)):
+        first, *rest = [t for i, t in enumerate(terminals) if mask >> i & 1]
+        pairs = [(first, t) for t in rest]
+        expected = brute_force_forest(make_instance(g, pairs))
+        got = table.weight(mask)
+        if expected is None:
+            assert got is None
+            continue
+        assert F(got, g.metric.scale) == expected
+        tree = WeightedGraph(g.n, [g.edges[ei] for ei in table.edges(mask)])
+        assert sum((w for _, _, w in tree.edges), F(0)) == expected
+        assert brute_force_forest(make_instance(tree, pairs)) == expected
 
 
 # sha256 prefixes of serialize_solution for (forest optimum, tree optimum)
