@@ -19,7 +19,6 @@ log is sufficient to replay that.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -31,6 +30,8 @@ from .exact import (
     format_fraction,
     lg_plus,
     parse_fraction,
+    parse_int,
+    parse_list,
 )
 from .graph import Distances, first_overlap, overlapping_pairs
 from .greedy import RunTrace, equal_cost_classes
@@ -123,7 +124,6 @@ def neighborhood_reach(radius: Fraction, K: int) -> Fraction:
 
 
 def ball_neighborhood(
-    trace: RunTrace,
     inst: Instance,
     ball: DualBall,
     K: int,
@@ -211,9 +211,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
         ]
         if not unclassified:
             continue
-        coll, _aux = build_class_duals(
-            trace, inst, list(cls.pair_ids), unclassified, cls.radius_full
-        )
+        coll, _aux = build_class_duals(trace, inst, list(cls.pair_ids), unclassified)
 
         if coll.skipped:
             balled = [p for _, p in coll.balls]
@@ -243,7 +241,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
             # every ball this owner may end with has radius <= radius_full,
             # so one search to the full ball's reach answers all of them
             dist = Distances(inst.graph, center, reach)
-            nb = ball_neighborhood(trace, inst, ball, K, classes, dist)
+            nb = ball_neighborhood(inst, ball, K, classes, dist)
             _check_targets_fresh(nb.members, statuses, ball)
             sigma = charged_cost(trace, nb.interior, charges)
             threshold_delete = 10 * charges[owner] * cls.cost * L**10
@@ -272,7 +270,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
                 )
                 continue
             halved = replace(ball, radius=cls.radius_full / 2)
-            nb2 = ball_neighborhood(trace, inst, halved, K, classes, dist)
+            nb2 = ball_neighborhood(inst, halved, K, classes, dist)
             sigma2 = charged_cost(trace, nb2.members, charges)
             if sigma2 <= 10 * charges[owner] * cls.cost:
                 # halve and absorb: the halved neighborhood is charged to the owner
@@ -309,7 +307,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
                             f"stabilize within {grow_cap} increments"
                         )
                     current = replace(current, radius=current.radius + step)
-                    nbt = ball_neighborhood(trace, inst, current, K, classes, dist)
+                    nbt = ball_neighborhood(inst, current, K, classes, dist)
                 for q in nbt.members:
                     if statuses[q] is not PairStatus.UNCLASSIFIED:
                         raise InternalConsistencyError(
@@ -419,7 +417,7 @@ def verify_balanced(
         offenders.append(f"balls {i} and {j} overlap")
     disjoint = not overlaps
     neighborhoods = [
-        ball_neighborhood(trace, inst, b, bd.K, classes, d)
+        ball_neighborhood(inst, b, bd.K, classes, d)
         for b, d in zip(bd.balls, dists)
     ]
     covered_union: set[int] = set()
@@ -584,44 +582,44 @@ def balanced_to_obj(bd: BalancedDual) -> dict:
     }
 
 
-def serialize_balanced(bd: BalancedDual) -> str:
-    return json.dumps(balanced_to_obj(bd), sort_keys=True, separators=(",", ":"))
-
-
 def obj_to_balanced(obj) -> BalancedDual:
     try:
         balls = [
             DualBall(
-                class_index=b["class"],
-                center=b["center"],
+                class_index=parse_int(b["class"], f"balls[{i}] class"),
+                center=parse_int(b["center"], f"balls[{i}] center"),
                 radius=parse_fraction(b["radius"]),
-                owner_pair=b["pair"],
+                owner_pair=parse_int(b["pair"], f"balls[{i}] pair"),
             )
-            for b in obj["balls"]
+            for i, b in enumerate(parse_list(obj["balls"], "balls"))
         ]
         charges = {int(i): parse_fraction(c) for i, c in obj["charges"].items()}
         statuses = {int(i): PairStatus(s) for i, s in obj["statuses"].items()}
         if len(charges) != len(obj["charges"]) or len(statuses) != len(obj["statuses"]):
             raise ValueError("a pair index is given twice")
-        if not isinstance(obj["K"], int):
-            raise ValueError("K must be an integer")
         classes = tuple(
             ClassInfo(
-                index=c["index"],
+                index=parse_int(c["index"], f"classes[{j}] index"),
                 cost=parse_fraction(c["cost"]),
-                pair_ids=tuple(c["pairs"]),
+                pair_ids=tuple(
+                    parse_int(q, f"classes[{j}] pair")
+                    for q in parse_list(c["pairs"], f"classes[{j}] pairs")
+                ),
                 radius_full=parse_fraction(c["radius_full"]),
             )
-            for c in obj["classes"]
+            for j, c in enumerate(parse_list(obj["classes"], "classes"))
         )
         return BalancedDual(
             balls=balls,
             charges=charges,
-            dangerous=set(obj["dangerous"]),
-            K=obj["K"],
+            dangerous={
+                parse_int(q, "dangerous pair")
+                for q in parse_list(obj["dangerous"], "dangerous")
+            },
+            K=parse_int(obj["K"], "K"),
             statuses=statuses,
             classes=classes,
-            step_log=list(obj.get("step_log", [])),
+            step_log=parse_list(obj.get("step_log", []), "step_log"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed balanced dual certificate: {exc}") from exc

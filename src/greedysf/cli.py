@@ -221,14 +221,15 @@ def _certify_class_duals(args, inst: Instance, trace) -> tuple[dict, bool]:
 
 
 def _trace_for(args, inst: Instance):
-    """Recompute the run; if a trace file is given, check it matches."""
+    """Recompute the run; if a trace file is given, check it equals the run
+    in every field."""
     rule = Rule.parse(args.rule)
     trace = run_greedy(inst, rule)
     if getattr(args, "trace", None):
         given = parse_trace(_read_text(args.trace))
         if given.rule is not rule:
             raise GreedysfError("trace file was recorded under a different rule")
-        if given.paths != trace.paths or given.costs != trace.costs:
+        if given != trace:
             raise GreedysfError("trace file does not match this instance")
     return trace
 

@@ -10,7 +10,6 @@ together certify that at most a 1/5 fraction of the pairs was skipped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -58,24 +57,17 @@ def collection_to_obj(coll: ClassDualCollection, aux: AuxiliaryGraph) -> dict:
     }
 
 
-def serialize_collection(coll: ClassDualCollection, aux: AuxiliaryGraph) -> str:
-    return json.dumps(
-        collection_to_obj(coll, aux), sort_keys=True, separators=(",", ":")
-    )
-
-
 def build_class_duals(
     trace: RunTrace,
     inst: Instance,
     class_pairs: list[int],
     subset: Optional[list[int]] = None,
-    r: Optional[Fraction] = None,
 ) -> tuple[ClassDualCollection, AuxiliaryGraph]:
     """Place disjoint dual balls of radius r for one equal-cost class.
 
     `class_pairs` must share one positive traced cost c; `subset` (default:
-    the whole class) is walked in arrival order.  r defaults to its maximum
-    allowed value c / (8 * lg_plus(|class_pairs|)).
+    the whole class) is walked in arrival order.  r is the maximum allowed
+    radius c / (8 * lg_plus(|class_pairs|)).
     """
     if not class_pairs:
         raise InputError("class_pairs must be nonempty")
@@ -89,12 +81,7 @@ def build_class_duals(
         subset = list(class_pairs)
     if not set(subset) <= set(class_pairs):
         raise InputError("subset must be contained in class_pairs")
-    r_max = cost / (8 * lg_plus(len(class_pairs)))
-    r = r_max if r is None else Fraction(r)
-    if r <= 0:
-        raise InputError("radius must be positive")
-    if r > r_max:
-        raise InputError(f"radius {r} exceeds the allowed bound {r_max}")
+    r = cost / (8 * lg_plus(len(class_pairs)))
 
     g = inst.graph
     ball_sets: list[frozenset[int]] = []

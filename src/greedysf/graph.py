@@ -9,7 +9,6 @@ hot loops run on Python ints.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -496,15 +495,3 @@ def obj_to_graph(obj) -> WeightedGraph:
         return WeightedGraph(n, edges)
     except InputError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def serialize_graph(g: WeightedGraph) -> str:
-    return json.dumps(graph_to_obj(g), sort_keys=True, separators=(",", ":"))
-
-
-def parse_graph(text: str) -> WeightedGraph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
-    return obj_to_graph(obj)

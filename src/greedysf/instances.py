@@ -74,36 +74,6 @@ class MateMap:
         return list(self._by_vertex.get(vertex, []))
 
 
-def duplicate_shared_terminals(inst: Instance) -> tuple[Instance, dict[tuple[int, int], int]]:
-    """Split every vertex occurring in q > 1 pairs into q zero-edge copies.
-
-    Returns the rewritten instance and a map (pair index, side) -> vertex id
-    in the new graph.  Distances are unchanged (copies hang off the original
-    by zero-weight edges), so runs and optima are unaffected.
-    """
-    g = inst.graph
-    occ_vertex: dict[tuple[int, int], int] = {}
-    extra_edges = []
-    next_id = g.n
-    seen: dict[int, int] = {}
-    for i, p in enumerate(inst.pairs):
-        for side, v in enumerate((p.s, p.t)):
-            count = seen.get(v, 0)
-            if count == 0:
-                occ_vertex[(i, side)] = v
-            else:
-                extra_edges.append((v, next_id, Fraction(0)))
-                occ_vertex[(i, side)] = next_id
-                next_id += 1
-            seen[v] = count + 1
-    new_graph = WeightedGraph(next_id, list(g.edges) + extra_edges)
-    new_pairs = [
-        (occ_vertex[(i, 0)], occ_vertex[(i, 1)]) for i in range(len(inst.pairs))
-    ]
-    new_inst = make_instance(new_graph, new_pairs, [list(e) for e in inst.schedule])
-    return new_inst, occ_vertex
-
-
 def validate_instance(inst: Instance) -> list[str]:
     """Collect invariant violations; an empty list means the instance is valid."""
     out = []

@@ -41,7 +41,6 @@ class SteinerSolution:
     weight: Fraction
     edge_indices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    components: tuple[frozenset[int], ...]
 
 
 def solution_to_obj(sol: SteinerSolution) -> dict:
@@ -60,21 +59,13 @@ def _is_forest(g: WeightedGraph) -> bool:
     return all(uf.union(u, v) for u, v, _ in g.edges)
 
 
-def _terminal_components(g: WeightedGraph, edge_indices, terminals) -> tuple[frozenset[int], ...]:
-    uf = UnionFind()
-    for idx in edge_indices:
-        uf.union(g.edges[idx][0], g.edges[idx][1])
-    return tuple(frozenset(s) for s in uf.groups(terminals))
-
-
-def _solution(g: WeightedGraph, edge_indices, terminals) -> SteinerSolution:
+def _solution(g: WeightedGraph, edge_indices) -> SteinerSolution:
     idx = tuple(sorted(set(edge_indices)))
     weight = sum((g.edges[i][2] for i in idx), Fraction(0))
     return SteinerSolution(
         weight=weight,
         edge_indices=idx,
         edges=tuple((g.edges[i][0], g.edges[i][1]) for i in idx),
-        components=_terminal_components(g, idx, terminals),
     )
 
 
@@ -276,7 +267,7 @@ def steiner_tree_exact(
     full = (1 << len(terminals)) - 1
     if oracle.weight(full) is None:
         raise InputError("terminals are disconnected")
-    return _solution(g, oracle.edges(full), terminals)
+    return _solution(g, oracle.edges(full))
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:
@@ -315,7 +306,7 @@ def exact_optima(inst: Instance) -> tuple[SteinerSolution, Optional[Fraction]]:
     g = inst.graph
     terminals = tuple(sorted(inst.terminals()))
     if not terminals:
-        return _solution(g, (), ()), None
+        return _solution(g, ()), None
     term_pos = {t: i for i, t in enumerate(terminals)}
     pair_mask = [
         (1 << term_pos[p.s]) | (1 << term_pos[p.t]) for p in inst.pairs
@@ -339,7 +330,7 @@ def exact_optima(inst: Instance) -> tuple[SteinerSolution, Optional[Fraction]]:
     if best is None:
         raise InputError("some pair is disconnected in the graph")
     edge_idx = set().union(*(oracle.edges(m) for m in best_blocks))
-    sol = _solution(g, edge_idx, terminals)
+    sol = _solution(g, edge_idx)
     if sol.weight != Fraction(best, g.metric.scale):
         raise InternalConsistencyError("partition weight mismatch")
     tree = oracle.weight((1 << len(terminals)) - 1)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .exact import floor_log2, format_fraction, pow2
-from .graph import Distances, Metric, UnionFind, shortest_path
+from .graph import Distances, UnionFind, shortest_path
 from .greedy import (
     Rule,
     RunTrace,
@@ -124,34 +124,34 @@ def subdivide_pairs_rule3(
 ) -> tuple[Instance, TransformReceipt]:
     """Split every pair into its consecutive previously-arrived-terminal hops.
 
-    Replays the trace under the third rule; each pair is replaced, in
-    order, by the sub-pairs of its bought path whose contracted distance at
-    that moment was still positive.  Total cost is preserved exactly and
-    every new pair has contraction 1.
+    Reads the hops off the trace: under the third rule a pair's shortcuts are
+    its kept hops in path order.  A hop is dropped when zero-weight edges
+    already join its ends at its arrival, which with nonnegative weights and
+    an empty schedule is exactly when its contracted distance is 0; those
+    edges are the base graph's zero-weight edges and the earlier shortcuts.
+    Total cost is preserved exactly and every new pair has contraction 1.
     """
     if trace.rule is not Rule.RULE3:
         raise InputError("pair subdivision is defined for third-rule traces only")
+    if trace.k != inst.k:
+        raise InputError(f"trace has {trace.k} pairs, the instance {inst.k}")
     if any(inst.schedule[i] for i in range(inst.k)):
         raise InputError("pair subdivision expects an empty reveal schedule")
-    metric = Metric(inst.graph.n, inst.graph.edges, ())
-    prev_terminals: set[int] = set()
+    zero = UnionFind()
+    for u, v, w in inst.graph.edges:
+        if w == 0:
+            zero.union(u, v)
     new_pairs: list[tuple[int, int]] = []
     pair_map = []
-    for i, pair in enumerate(inst.pairs):
-        path = trace.paths[i]
-        kept_vertices = [
-            v for v in path if v in prev_terminals or v in (pair.s, pair.t)
-        ]
+    for i, hops in enumerate(trace.shortcuts_added):
         children = []
-        for a, b in zip(kept_vertices, kept_vertices[1:]):
-            d = metric.shortest(a, b).distance
-            if d is None or d > 0:
+        for a, b in hops:
+            if zero.find(a) != zero.find(b):
                 children.append(len(new_pairs))
                 new_pairs.append((a, b))
         pair_map.append((i, children))
-        for u, v in trace.shortcuts_added[i]:
-            metric.add_edge(u, v, Fraction(0))
-        prev_terminals.update((pair.s, pair.t))
+        for a, b in hops:
+            zero.union(a, b)
     out = make_instance(inst.graph, new_pairs)
     receipt = TransformReceipt(
         kind="subdivide_rule3",
@@ -186,7 +186,7 @@ def extract_sub_instance(
     """
     # one search, to the neighborhood's reach, answers the cut too
     dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, K))
-    nb = ball_neighborhood(trace, inst, ball, K, trace_classes(trace), dist)
+    nb = ball_neighborhood(inst, ball, K, trace_classes(trace), dist)
     kept = [i for i in nb.interior if i in dangerous]
     sub_graph, remap = dist.zero_border(ball.radius)
     pairs = []
@@ -253,11 +253,12 @@ def tree_width(tree_edges, inst: Instance) -> Fraction:
 
 def forest_potential(forest_edges, inst: Instance) -> Fraction:
     """Forest weight plus the total width of its components."""
-    return _forest_potential(forest_edges, inst, pair_distances(inst))
+    return _forest_potential(forest_edges, inst, pair_distances(inst))[0]
 
 
-def _forest_potential(forest_edges, inst: Instance, dists) -> Fraction:
-    """`forest_potential` given the instance's `pair_distances`."""
+def _forest_potential(forest_edges, inst: Instance, dists) -> tuple[Fraction, UnionFind]:
+    """`forest_potential` given the instance's `pair_distances`, with the
+    union-find of the forest's components."""
     g = inst.graph
     uf = UnionFind()
     weight = Fraction(0)
@@ -266,9 +267,10 @@ def _forest_potential(forest_edges, inst: Instance, dists) -> Fraction:
         if not uf.union(u, v):
             raise InputError("edge set contains a cycle; not a forest")
         weight += w
-    return weight + sum(
+    width = sum(
         (_component_width(comp, inst, dists) for comp in uf.groups()), Fraction(0)
     )
+    return weight + width, uf
 
 
 def augment_subdivided_solution(
@@ -324,14 +326,12 @@ def augment_subdivided_solution(
         return out
 
     forest: set[int] = set(opt_edge_indices)
-    phi = _forest_potential(forest, inst, dists)
+    phi, uf = _forest_potential(forest, inst, dists)
     log = {"steps": [], "initial_potential": format_fraction(phi)}
     children_of = {i: list(ch) for i, ch in receipt.pair_map}
 
     for i in range(inst.k):
-        uf = UnionFind()
-        for ei in forest:
-            uf.union(g.edges[ei][0], g.edges[ei][1])
+        # `uf` holds the components of the forest as it stands
         missing = [
             c
             for c in children_of[i]
@@ -339,7 +339,7 @@ def augment_subdivided_solution(
         ]
         for c in missing:
             forest |= connecting_edges(subdivided.pairs[c].s, subdivided.pairs[c].t)
-        new_phi = _forest_potential(forest, inst, dists)
+        new_phi, uf = _forest_potential(forest, inst, dists)
         log["steps"].append(
             {
                 "pair": i,

@@ -319,7 +319,7 @@ def test_criterion_08_ball_sub_instances():
         for ball in bd.balls:
             reach = neighborhood_reach(ball.radius, bd.K)
             dist = Distances(inst.graph, ball.center, reach)
-            nb = ball_neighborhood(trace, inst, ball, bd.K, bd.classes, dist)
+            nb = ball_neighborhood(inst, ball, bd.K, bd.classes, dist)
             if nb.interior:
                 claim_checks(ball, set(nb.interior))
                 direct_checked += 1

@@ -20,7 +20,6 @@ from greedysf.balanced import (
     charged_cost,
     induction_bound_audit,
     obj_to_balanced,
-    serialize_balanced,
     trace_classes,
     verify_balanced,
 )
@@ -95,7 +94,7 @@ def test_ball_neighborhood_far_and_boundary():
     ]
     neighborhoods = [
         ball_neighborhood(
-            trace, inst, b, inst.k, classes,
+            inst, b, inst.k, classes,
             Distances(inst.graph, b.center, neighborhood_reach(b.radius, inst.k)),
         )
         for b in balls
@@ -118,7 +117,7 @@ def test_ball_neighborhood_threshold_boundary():
     trace = run_greedy(inst, Rule.RULE3)
     ball = DualBall(class_index=1, center=0, radius=F(8), owner_pair=0)
     dist = Distances(g, 0, neighborhood_reach(F(8), 2))
-    nb = ball_neighborhood(trace, inst, ball, 2, trace_classes(trace), dist)
+    nb = ball_neighborhood(inst, ball, 2, trace_classes(trace), dist)
     assert nb.members == (1,)
     assert nb.border == (1,)  # endpoint at exactly r >= r*(1 - eps)
     assert nb.interior == ()
@@ -359,4 +358,3 @@ def test_balanced_roundtrip():
     assert back.balls == bd.balls
     report = verify_balanced(back, trace, inst, 200)
     assert report.all_ok
-    serialize_balanced(bd)

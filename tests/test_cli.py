@@ -201,6 +201,48 @@ def test_transform_accepts_consistent_trace_file(tmp_path):
     )
 
 
+def _other_rule(trace):
+    trace["rule"] = "rule1"
+
+
+def _other_path(trace):
+    trace["pairs"][0]["path"].reverse()
+
+
+def _forged_shortcuts(trace):
+    trace["pairs"][0]["shortcuts"] = [[7, 8]]
+
+
+def _forged_contraction(trace):
+    trace["pairs"][1]["contraction"] = "5/1"
+
+
+@pytest.mark.parametrize(
+    "tamper", [_other_rule, _other_path, _forged_shortcuts, _forged_contraction]
+)
+@pytest.mark.parametrize("command", ["transform", "certify"])
+def test_trace_file_must_equal_the_run(tmp_path, capsys, tamper, command):
+    inst = tmp_path / "pet.json"
+    run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
+    trace = tmp_path / "trace.json"
+    run_cli("run", "--instance", inst, "--rule", "3", "--trace-out", trace, "--no-opt")
+    obj = json.loads(trace.read_text())
+    tamper(obj)
+    trace.write_text(json.dumps(obj))
+    argv = {
+        "transform": [
+            "transform", "--kind", "subdivide-rule3", "--instance-out", tmp_path / "o.json",
+            "--receipt-out", tmp_path / "r.json",
+        ],
+        "certify": ["certify", "--kind", "class-duals"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--instance", inst, "--trace", trace) == 2
+    err = assert_one_line_error(capsys)
+    expected = "different rule" if tamper is _other_rule else "does not match"
+    assert expected in err
+
+
 def test_audit_kinds(tmp_path):
     inst = tmp_path / "pet.json"
     run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
@@ -430,6 +472,22 @@ def _k_not_integer(cert):
     cert["K"] = "x"
 
 
+def _ball_pair_list(cert):
+    cert["balls"][0]["pair"] = [0]
+
+
+def _ball_class_list(cert):
+    cert["balls"][0]["class"] = [1]
+
+
+def _k_bool(cert):
+    cert["K"] = True
+
+
+def _step_log_string(cert):
+    cert["step_log"] = "x"
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -442,6 +500,10 @@ def _k_not_integer(cert):
         _ball_center_not_vertex,
         _charges_not_object,
         _k_not_integer,
+        _ball_pair_list,
+        _ball_class_list,
+        _k_bool,
+        _step_log_string,
     ],
 )
 def test_balanced_certificate_incomplete_exits_2(tmp_path, capsys, tamper):

@@ -19,7 +19,6 @@ from greedysf.dualfit import (
     collection_to_obj,
     girth_audit,
     moore_bound_audit,
-    serialize_collection,
     verify_class_duals,
 )
 from greedysf.opt import dual_lower_bound_audit, steiner_forest_exact
@@ -133,8 +132,6 @@ def test_builder_validates_inputs():
     trace = run_greedy(inst, Rule.RULE3)
     with pytest.raises(InputError):
         build_class_duals(trace, inst, [0, 1])  # mixed costs
-    with pytest.raises(InputError):
-        build_class_duals(trace, inst, [0], r=F(2))  # exceeds c/8
 
 
 def test_girth_audit_cases():
@@ -208,4 +205,3 @@ def test_collection_serialization():
     assert obj["radius"] == "1/1"
     assert obj["balls"] == [{"center": 0, "pair": 0}, {"center": 2, "pair": 1}]
     assert obj["aux_edges"] == [[0, 1]]
-    serialize_collection(coll, aux)

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greedysf.errors import InputError, InternalConsistencyError, ParseError
+from greedysf.errors import InputError, InternalConsistencyError
 from greedysf.graph import (
     Distances,
     WeightedGraph,
@@ -16,9 +16,9 @@ from greedysf.graph import (
     girth,
     induced_zero_border,
     open_ball,
+    graph_to_obj,
+    obj_to_graph,
     overlapping_pairs,
-    parse_graph,
-    serialize_graph,
     shortest_path,
     subdivide_edges,
 )
@@ -372,18 +372,9 @@ def test_girth_ignores_weights():
 
 def test_graph_serialization_roundtrip():
     g = WeightedGraph(3, [(0, 1, F(5, 2)), (1, 2, F(0))])
-    text = serialize_graph(g)
-    assert parse_graph(text) == g
-    assert serialize_graph(parse_graph(text)) == text
-
-
-def test_graph_parse_rejects_unreduced_and_unknown():
-    with pytest.raises(ParseError):
-        parse_graph('{"n": 2, "edges": [[0, 1, "2/4"]]}')
-    with pytest.raises(ParseError):
-        parse_graph('{"n": 2, "edges": [], "extra": 1}')
-    with pytest.raises(ParseError):
-        parse_graph("{not json")
+    obj = graph_to_obj(g)
+    assert obj_to_graph(obj) == g
+    assert graph_to_obj(obj_to_graph(obj)) == obj
 
 
 def test_self_loop_rejected():

@@ -19,6 +19,7 @@ from greedysf.greedy import (
 from greedysf.balanced import trace_classes
 from greedysf.canonical import canonical_report
 from greedysf.instances import (
+    CAGES,
     gen_canonical_nested,
     gen_girth_lower_bound,
     gen_random_instance,
@@ -337,14 +338,17 @@ def test_trace_serialization_shape():
 
 
 def test_trace_parse_roundtrip():
+    # `--trace` files are checked by equality with the recomputed run, so a
+    # parsed trace must equal the run it was written from in every field
     from greedysf.greedy import parse_trace
 
-    inst = gen_random_instance(8, 12, 4, seed=21)
-    trace = run_greedy(inst, Rule.RULE2)
-    back = parse_trace(serialize_trace(trace))
-    assert back.rule is trace.rule
-    assert back.paths == trace.paths
-    assert back.costs == trace.costs
-    assert back.shortcuts_added == trace.shortcuts_added
-    assert back.contraction == trace.contraction
-    assert back.total_cost == trace.total_cost
+    corpus = [gen_random_instance(8, 12, 4, seed=21)]
+    corpus += [
+        gen_random_instance(7 + s % 4, 10 + s % 3, 1 + s % 5, seed=s) for s in range(30)
+    ]
+    corpus += [gen_girth_lower_bound(cage) for cage in CAGES]
+    corpus.append(gen_canonical_nested(2, 2, 20, seed=1))
+    for inst in corpus:
+        for rule in Rule:
+            trace = run_greedy(inst, rule)
+            assert parse_trace(serialize_trace(trace)) == trace

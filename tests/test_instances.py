@@ -8,7 +8,6 @@ from greedysf.instances import (
     CAGES,
     Instance,
     MateMap,
-    duplicate_shared_terminals,
     gen_canonical_nested,
     gen_girth_lower_bound,
     gen_random_instance,
@@ -68,6 +67,16 @@ def test_roundtrip_random_instance():
 def test_parse_rejects_unknown_field():
     with pytest.raises(ParseError):
         parse_instance('{"graph": {"n": 1, "edges": []}, "pairs": [], "schedule": [], "x": 1}')
+
+
+def test_parse_instance_rejects_unreduced_and_unknown():
+    rest = '"pairs": [], "schedule": []}'
+    with pytest.raises(ParseError, match="not reduced"):
+        parse_instance('{"graph": {"n": 2, "edges": [[0, 1, "2/4"]]}, ' + rest)
+    with pytest.raises(ParseError, match="unknown fields"):
+        parse_instance('{"graph": {"n": 2, "edges": [], "extra": 1}, ' + rest)
+    with pytest.raises(ParseError, match="malformed JSON"):
+        parse_instance("{not json")
 
 
 # -- matchings ----------------------------------------------------------------
@@ -253,16 +262,3 @@ def test_mate_map_occurrences():
     assert mates.occurrences(1) == [(0, 0)]
     assert mates.occurrences(2) == [(1, 0)] and mates.occurrences(3) == []
 
-
-def test_duplicate_shared_terminals_preserves_distances():
-    g = WeightedGraph(4, [(0, 1, F(2)), (0, 2, F(3)), (2, 3, F(1))])
-    inst = make_instance(g, [(0, 1), (0, 2), (1, 3)])
-    dup, occ = duplicate_shared_terminals(inst)
-    assert validate_instance(dup) == []
-    # every occurrence has its own vertex and an involution-like mate
-    vertices = [occ[(i, s)] for i in range(3) for s in (0, 1)]
-    assert len(set(vertices)) == len(vertices)
-    for i, p in enumerate(inst.pairs):
-        old = shortest_path(inst.graph, p.s, p.t).distance
-        new = shortest_path(dup.graph, occ[(i, 0)], occ[(i, 1)]).distance
-        assert old == new

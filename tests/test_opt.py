@@ -98,7 +98,7 @@ def test_forest_two_far_pairs():
     inst = make_instance(g, [(0, 1), (2, 3)])
     sol = steiner_forest_exact(inst)
     assert sol.weight == 5
-    assert len(sol.components) == 2
+    assert sol.edges == ((0, 1), (2, 3))
 
 
 def test_forest_petersen_bounded_by_spanning_tree():

@@ -1,0 +1,44 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "greedysf"
+
+# (module, function, parameter) kept although the body never reads it: why
+UNREAD_PARAMETERS_ALLOWED = {
+    ("dualfit", "verify_class_duals", "trace"): "perfbench passes it positionally",
+    ("balanced", "verify_balanced", "delta"): "perfbench passes it positionally",
+    ("cli", "_certify_class_duals", "args"): "CERTIFY_KINDS calls f(args, inst, trace)",
+    ("cli", "_certify_dual_lb", "args"): "CERTIFY_KINDS calls f(args, inst, trace)",
+}
+
+
+def _parameters(fn: ast.FunctionDef) -> list[str]:
+    a = fn.args
+    names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+    names += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    return [n for n in names if n not in ("self", "cls")]
+
+
+def _unread_parameters():
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for name in _parameters(fn):
+                if name not in read:
+                    yield (path.stem, fn.name, name)
+
+
+def test_every_parameter_is_read():
+    unread = set(_unread_parameters())
+    assert unread - set(UNREAD_PARAMETERS_ALLOWED) == set()
+    # an allowance whose parameter is read again, or gone, is stale
+    assert set(UNREAD_PARAMETERS_ALLOWED) <= unread

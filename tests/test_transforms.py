@@ -167,6 +167,99 @@ def test_subdivide_contracted_metrics_coincide():
                         assert d_orig == d_split
 
 
+def reference_subdivide(inst, trace):
+    """The split by replay: one search per hop in the metric at its arrival."""
+    from greedysf.exact import format_fraction
+    from greedysf.graph import Metric
+    from greedysf.transforms import TransformReceipt
+
+    metric = Metric(inst.graph.n, inst.graph.edges, ())
+    prev_terminals = set()
+    new_pairs, pair_map = [], []
+    for i, pair in enumerate(inst.pairs):
+        ends = prev_terminals | {pair.s, pair.t}
+        kept = [v for v in trace.paths[i] if v in ends]
+        children = []
+        for a, b in zip(kept, kept[1:]):
+            d = metric.shortest(a, b).distance
+            if d is None or d > 0:
+                children.append(len(new_pairs))
+                new_pairs.append((a, b))
+        pair_map.append((i, tuple(children)))
+        for u, v in trace.shortcuts_added[i]:
+            metric.add_edge(u, v, F(0))
+        prev_terminals.update((pair.s, pair.t))
+    out = make_instance(inst.graph, new_pairs)
+    return out, TransformReceipt(
+        kind="subdivide_rule3",
+        source_digest=inst.digest(),
+        target_digest=out.digest(),
+        pair_map=tuple(pair_map),
+        measured={
+            "k": inst.k,
+            "k_new": len(new_pairs),
+            "total": format_fraction(trace.total_cost),
+        },
+    )
+
+
+def with_zero_edges(inst, every):
+    """The instance with every `every`-th base edge made free."""
+    edges = [
+        (u, v, F(0) if j % every == 0 else w)
+        for j, (u, v, w) in enumerate(inst.graph.edges)
+    ]
+    return make_instance(
+        WeightedGraph(inst.graph.n, edges), [(p.s, p.t) for p in inst.pairs]
+    )
+
+
+def test_subdivide_matches_the_replay():
+    petersen = gen_girth_lower_bound("petersen")
+    pairs = [(p.s, p.t) for p in petersen.pairs]
+    # the first pair again arrives at zero cost: its one hop is dropped
+    repeated = make_instance(petersen.graph, pairs + pairs[:1])
+    corpus = [petersen, repeated, *random_corpus(30, k_max=5, start=100)]
+    corpus += [
+        with_zero_edges(inst, 2 + j % 2)
+        for j, inst in enumerate(random_corpus(20, k_max=6, start=500))
+    ]
+    dropped = 0
+    for inst in corpus:
+        trace = run_greedy(inst, Rule.RULE3)
+        out, receipt = subdivide_pairs_rule3(inst, trace)
+        assert (out, receipt) == reference_subdivide(inst, trace)
+        dropped += sum(map(len, trace.shortcuts_added)) - out.k
+    assert dropped > 1  # zero-distance hops occur and are dropped
+
+
+def test_subdivide_runs_no_search(monkeypatch):
+    from greedysf import graph
+
+    inst = gen_girth_lower_bound("petersen")
+    trace = run_greedy(inst, Rule.RULE3)
+    calls = []
+    search = graph._dijkstra
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "_dijkstra", counting)
+    subdivide_pairs_rule3(inst, trace)
+    assert calls == []
+
+
+def test_subdivide_refuses_a_trace_of_another_pair_count():
+    inst = gen_girth_lower_bound("petersen")
+    trace = run_greedy(inst, Rule.RULE3)
+    fewer = make_instance(inst.graph, [(p.s, p.t) for p in inst.pairs[:-1]])
+    more = make_instance(inst.graph, [(p.s, p.t) for p in inst.pairs] + [(0, 1)])
+    for other in (fewer, more):
+        with pytest.raises(InputError, match="pairs"):
+            subdivide_pairs_rule3(other, trace)
+
+
 def test_subdivide_random_corpus_properties():
     for inst in random_corpus(30, k_max=5, start=100):
         trace = run_greedy(inst, Rule.RULE3)
@@ -196,7 +289,7 @@ def nested_host_ball(inst, trace, K):
             owner_pair=pid,
         )
         dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, K))
-        if ball_neighborhood(trace, inst, ball, K, classes, dist).interior:
+        if ball_neighborhood(inst, ball, K, classes, dist).interior:
             return ball, classes
     raise AssertionError("no host ball found")
 
@@ -216,7 +309,7 @@ def test_extract_sub_instance_searches_once(monkeypatch):
     trace = run_greedy(inst, Rule.RULE3)
     ball, classes = nested_host_ball(inst, trace, inst.k)
     dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, inst.k))
-    deferred = set(ball_neighborhood(trace, inst, ball, inst.k, classes, dist).interior)
+    deferred = set(ball_neighborhood(inst, ball, inst.k, classes, dist).interior)
     sources = []
     search = graph._dijkstra
 
@@ -249,7 +342,7 @@ def test_extract_sub_instance_replays_costs_and_bounds_opt():
     trace = run_greedy(inst, Rule.RULE3)
     ball, classes = nested_host_ball(inst, trace, inst.k)
     dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, inst.k))
-    deferred = set(ball_neighborhood(trace, inst, ball, inst.k, classes, dist).interior)
+    deferred = set(ball_neighborhood(inst, ball, inst.k, classes, dist).interior)
     out, receipt, remap = extract_sub_instance(inst, trace, ball, deferred, inst.k)
     assert out.k == len(deferred)
     replay = run_greedy(out, Rule.RULE3)
