@@ -71,7 +71,8 @@ class WeightedGraph:
 
     @property
     def metric(self) -> "Metric":
-        """The integer metric of this graph; callers must not add edges to it."""
+        """The integer metric of this graph; callers must not add edges to it,
+        only to a copy from `Metric.extended`."""
         if self._metric is None:
             self._metric = Metric(self.n, self.edges, ())
         return self._metric
@@ -93,17 +94,20 @@ class PathResult:
         return self.distance is not None
 
 
-def _dijkstra(n, adj, source, target=None, bound=None):
+def _dijkstra(n, adj, source, targets=frozenset(), bound=None):
     """Shortest paths with deterministic predecessors.
 
     Ties are resolved toward the smallest predecessor id among vertices
     settled earlier in the (distance, id) order; with zero-weight edges this
     restriction is what keeps predecessor chains acyclic.
 
-    Returns the lists (dist, pred, done).  With an integer `bound` the
-    search is ball-local instead: it settles only the vertices within
-    distance `bound` and returns just their `{vertex: distance}` map,
-    allocating nothing of size n.
+    Returns the lists (dist, pred, done).  The search stops as soon as every
+    vertex of the set `targets` is settled (it runs to exhaustion when the
+    set is empty or some target is unreachable); then only the entries of
+    the vertices marked done are final, and the targets are among them.
+    With an integer `bound` the search is ball-local instead: it settles only
+    the vertices within distance `bound` and returns just their
+    `{vertex: distance}` map, allocating nothing of size n.
     """
     if bound is not None:
         return _ball_search(adj, source, bound)
@@ -111,14 +115,17 @@ def _dijkstra(n, adj, source, target=None, bound=None):
     pred = [-1] * n
     done = [False] * n
     dist[source] = 0
+    left = len(targets)
     heap = [(0, source)]
     while heap:
         d, u = heappop(heap)
         if done[u]:
             continue
         done[u] = True
-        if u == target:
-            break
+        if u in targets:
+            left -= 1
+            if not left:
+                break
         for v, w in adj[u]:
             if done[v]:
                 continue
@@ -185,13 +192,35 @@ class Metric:
         self.adj[u].append((v, wi))
         self.adj[v].append((u, wi))
 
+    def extended(self, later: Iterable[Fraction]) -> "Metric":
+        """A copy whose scale also covers the weights `later`, to add edges to.
+
+        The copy equals `Metric(n, edges, later)` over this metric's edges; it
+        shares no adjacency list with this metric.
+        """
+        scale = math.lcm(self.scale, *(w.denominator for w in later))
+        factor = scale // self.scale
+        copy = object.__new__(Metric)
+        copy.n, copy.scale = self.n, scale
+        if factor == 1:
+            copy.adj = [row.copy() for row in self.adj]
+        else:
+            copy.adj = [[(v, w * factor) for v, w in row] for row in self.adj]
+        return copy
+
     def distances(self, source: int) -> list[Optional[int]]:
         """Integer distances (times scale) from source; None where unreachable."""
         return _dijkstra(self.n, self.adj, source)[0]
 
+    def distances_to(self, source: int, targets: set[int]) -> dict[int, Optional[int]]:
+        """Integer distances from source to each target, None where unreachable;
+        the search stops once every target is settled."""
+        dist, _, done = _dijkstra(self.n, self.adj, source, targets)
+        return {t: dist[t] if done[t] else None for t in targets}
+
     def shortest(self, s: int, t: int) -> PathResult:
         """Exact shortest path from s to t with deterministic tie-breaking."""
-        dist, pred, done = _dijkstra(self.n, self.adj, s, target=t)
+        dist, pred, done = _dijkstra(self.n, self.adj, s, {t})
         if not done[t]:
             return PathResult(None, None)
         path = [t]

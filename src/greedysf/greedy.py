@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, ParseError, RunError
-from .exact import format_fraction, parse_fraction
-from .graph import Metric
+from .exact import format_fraction, parse_fraction, parse_int, parse_list
 from .instances import Instance
 
 
@@ -72,9 +71,7 @@ def run_greedy(inst: Instance, rule: Rule) -> RunTrace:
     """Run the greedy algorithm over the arrival sequence under one rule."""
     if len(inst.schedule) != len(inst.pairs):
         raise InputError("schedule length must match pair count")
-    metric = Metric(
-        inst.graph.n, inst.graph.edges, (w for step in inst.schedule for _, _, w in step)
-    )
+    metric = inst.graph.metric.extended(w for step in inst.schedule for _, _, w in step)
     prev_terminals: set[int] = set()
     paths, costs, added = [], [], []
     for i, pair in enumerate(inst.pairs):
@@ -105,15 +102,22 @@ def run_greedy(inst: Instance, rule: Rule) -> RunTrace:
 
 
 def pair_distances(inst: Instance) -> list[Optional[Fraction]]:
-    """Original-graph distance of every pair, None where disconnected."""
-    metric = inst.graph.metric
-    dist_cache: dict[int, list] = {}
+    """Original-graph distance of every pair, None where disconnected.
+
+    One search per distinct source, stopped once that source's mates are
+    settled.
+    """
+    g = inst.graph
+    mates: dict[int, set[int]] = {}
+    for pair in inst.pairs:
+        g.check_vertex(pair.s)
+        g.check_vertex(pair.t)
+        mates.setdefault(pair.s, set()).add(pair.t)
+    metric = g.metric
+    found = {s: metric.distances_to(s, ts) for s, ts in mates.items()}
     out = []
     for pair in inst.pairs:
-        if pair.s not in dist_cache:
-            inst.graph.check_vertex(pair.s)
-            dist_cache[pair.s] = metric.distances(pair.s)
-        d = dist_cache[pair.s][pair.t]
+        d = found[pair.s][pair.t]
         out.append(None if d is None else Fraction(d, metric.scale))
     return out
 
@@ -195,10 +199,16 @@ def parse_trace(text: str) -> RunTrace:
         obj = json.loads(text)
         rule = Rule.parse(obj["rule"])
         paths, costs, added, contraction = [], [], [], []
-        for row in obj["pairs"]:
-            paths.append(tuple(row["path"]))
+        for i, row in enumerate(parse_list(obj["pairs"], "trace field 'pairs'")):
+            vertex = f"a vertex id of trace pair {i}"
+            path = parse_list(row["path"], f"the path of trace pair {i}")
+            paths.append(tuple(parse_int(v, vertex) for v in path))
             costs.append(parse_fraction(row["cost"]))
-            added.append([(u, v) for u, v in row["shortcuts"]])
+            shortcuts = []
+            for edge in parse_list(row["shortcuts"], f"the shortcuts of trace pair {i}"):
+                u, v = parse_list(edge, f"a shortcut of trace pair {i}")
+                shortcuts.append((parse_int(u, vertex), parse_int(v, vertex)))
+            added.append(shortcuts)
             c = row["contraction"]
             contraction.append(None if c == "inf" else parse_fraction(c))
         total = parse_fraction(obj["total"])

@@ -339,7 +339,8 @@ def augment_subdivided_solution(
         ]
         for c in missing:
             forest |= connecting_edges(subdivided.pairs[c].s, subdivided.pairs[c].t)
-        new_phi, uf = _forest_potential(forest, inst, dists)
+        # with nothing missing the forest, hence its potential, is unchanged
+        new_phi, uf = _forest_potential(forest, inst, dists) if missing else (phi, uf)
         log["steps"].append(
             {
                 "pair": i,

@@ -243,6 +243,36 @@ def test_trace_file_must_equal_the_run(tmp_path, capsys, tamper, command):
     assert expected in err
 
 
+@pytest.mark.parametrize("vertex, forged", [(2, 2.0), (1, True)])
+@pytest.mark.parametrize("command", ["transform", "certify"])
+def test_trace_vertex_ids_must_be_integers(tmp_path, capsys, vertex, forged, command):
+    # pair 0 runs along the edge (vertex, 3), so its path and shortcut are [vertex, 3]
+    obj = {
+        "graph": {"n": 4, "edges": [[0, 1, "1/1"], [1, 2, "1/1"], [vertex, 3, "1/1"]]},
+        "pairs": [[vertex, 3], [0, 3]],
+        "schedule": [[], []],
+    }
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(obj))
+    trace = tmp_path / "trace.json"
+    run_cli("run", "--instance", inst, "--rule", "3", "--trace-out", trace, "--no-opt")
+    obj = json.loads(trace.read_text())
+    row = obj["pairs"][0]
+    assert row["path"] == [vertex, 3] and row["shortcuts"] == [[vertex, 3]]
+    row["path"][0] = row["shortcuts"][0][0] = forged
+    trace.write_text(json.dumps(obj))
+    argv = {
+        "transform": [
+            "transform", "--kind", "subdivide-rule3", "--instance-out", tmp_path / "o.json",
+            "--receipt-out", tmp_path / "r.json",
+        ],
+        "certify": ["certify", "--kind", "class-duals"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--instance", inst, "--trace", trace) == 2
+    assert "must be an integer" in assert_one_line_error(capsys)
+
+
 def test_audit_kinds(tmp_path):
     inst = tmp_path / "pet.json"
     run_cli("generate", "girth", "--cage", "petersen", "--out", inst)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from greedysf.errors import InputError, InternalConsistencyError
 from greedysf.graph import (
     Distances,
+    Metric,
     WeightedGraph,
     default_eta,
     distances_from,
@@ -245,6 +246,32 @@ def test_ball_search_settles_only_the_closed_ball(monkeypatch):
     ball = open_ball(g, mid, F(2))
     assert ball == set(chain[499:502])
     assert settled == [set(chain[498:503])]
+
+
+@given(random_graphs(zero_edges=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_target_search_matches_full_search(g, data):
+    from greedysf import graph
+
+    metric = g.metric
+    source = data.draw(st.integers(0, g.n - 1))
+    targets = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    full = metric.distances(source)
+    dist, _, done = graph._dijkstra(g.n, metric.adj, source, targets)
+    for t in targets:
+        assert (dist[t] if done[t] else None) == full[t]
+    assert metric.distances_to(source, targets) == {t: full[t] for t in targets}
+
+
+def test_extended_metric_is_a_fresh_copy():
+    g = WeightedGraph(4, [(0, 1, F(1, 2)), (1, 2, F(3)), (2, 3, F(0)), (0, 1, F(1, 2))])
+    before = [list(row) for row in g.metric.adj]
+    for later in ((), (F(5),), (F(1, 3), F(7, 4))):
+        run = g.metric.extended(later)
+        fresh = Metric(g.n, g.edges, later)
+        assert (run.n, run.scale, run.adj) == (fresh.n, fresh.scale, fresh.adj)
+        run.add_edge(0, 3, F(0))
+        assert g.metric.adj == before
 
 
 def test_weights_must_be_nonnegative():

@@ -11,6 +11,7 @@ from greedysf.greedy import (
     apply_contraction_rule,
     compare_rules,
     equal_cost_classes,
+    pair_distances,
     pairs_below_contraction,
     run_greedy,
     serialize_trace,
@@ -352,3 +353,29 @@ def test_trace_parse_roundtrip():
         for rule in Rule:
             trace = run_greedy(inst, rule)
             assert parse_trace(serialize_trace(trace)) == trace
+
+
+def test_pair_distances_checks_both_endpoints():
+    g = WeightedGraph(3, [(0, 1, F(1)), (1, 2, F(2))])
+    assert pair_distances(make_instance(g, [(0, 2)])) == [F(3)]
+    for pair in ((0, -1), (0, 3), (-1, 0), (3, 0)):
+        with pytest.raises(InputError):
+            pair_distances(make_instance(g, [pair]))
+
+
+def test_target_search_stops_at_the_mates(monkeypatch):
+    from greedysf import graph
+
+    unit_path = WeightedGraph(1001, [(i, i + 1, F(1)) for i in range(1000)])
+    inst = make_instance(unit_path, [(0, 1)])
+    settled = []
+    search = graph._dijkstra
+
+    def recording(*args, **kwargs):
+        out = search(*args, **kwargs)
+        settled.append(sum(out[2]))
+        return out
+
+    monkeypatch.setattr(graph, "_dijkstra", recording)
+    assert pair_distances(inst) == [F(1)]
+    assert len(settled) == 1 and settled[0] <= 2

@@ -42,3 +42,37 @@ def test_every_parameter_is_read():
     assert unread - set(UNREAD_PARAMETERS_ALLOWED) == set()
     # an allowance whose parameter is read again, or gone, is stale
     assert set(UNREAD_PARAMETERS_ALLOWED) <= unread
+
+
+def _modules_using(predicate) -> set[str]:
+    """Stems of the package modules with a syntax node matching `predicate`."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(predicate(node) for node in ast.walk(tree)):
+            out.add(path.stem)
+    return out
+
+
+def _imports_heapq(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "heapq" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.module == "heapq"
+
+
+SEARCHES = {"_dijkstra", "_ball_search"}
+
+
+def _names_a_search(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name in SEARCHES for alias in node.names)
+    return (isinstance(node, ast.Name) and node.id in SEARCHES) or (
+        isinstance(node, ast.Attribute) and node.attr in SEARCHES
+    )
+
+
+def test_one_distance_layer():
+    # every shortest-path search goes through graph's kernel; opt keeps the
+    # Steiner DP's own heap over (vertex, terminal subset) states
+    assert _modules_using(_imports_heapq) == {"graph", "opt"}
+    assert _modules_using(_names_a_search) == {"graph"}

@@ -483,6 +483,34 @@ def test_augment_computes_pair_distances_once(monkeypatch):
     assert len(calls) < 15
 
 
+@pytest.mark.parametrize("cage", ["petersen", "heawood"])
+def test_augment_reuses_an_unchanged_potential(monkeypatch, cage):
+    from greedysf import transforms
+
+    inst = gen_girth_lower_bound(cage)
+    trace = run_greedy(inst, Rule.RULE3)
+    split, receipt = subdivide_pairs_rule3(inst, trace)
+    opt = steiner_forest_exact(inst)
+    calls = []
+    potential = transforms._forest_potential
+
+    def counting(*args):
+        calls.append(args)
+        return potential(*args)
+
+    monkeypatch.setattr(transforms, "_forest_potential", counting)
+    forest, log = augment_subdivided_solution(
+        opt.edge_indices, inst, trace, split, receipt
+    )
+    # no arrival adds an edge, so the initial potential is the only one computed
+    assert all(not step["added_for"] for step in log["steps"])
+    assert len(calls) == 1
+    assert forest == set(opt.edge_indices)
+    initial = log["initial_potential"]
+    assert [step["potential"] for step in log["steps"]] == [initial] * inst.k
+    assert log["final_potential"] == initial
+
+
 def test_augment_monotone_corpus():
     for inst in (sort_by_distance(i) for i in random_corpus(15, k_max=4, start=300)):
         trace = run_greedy(inst, Rule.RULE3)
