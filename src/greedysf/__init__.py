@@ -13,7 +13,6 @@ from .graph import (
     PathResult,
     WeightedGraph,
     girth,
-    induced_zero_border,
     open_ball,
     shortest_path,
     subdivide_edges,
@@ -69,7 +68,6 @@ from .transforms import (
     forest_potential,
     subdivide_pairs_rule3,
     to_canonical,
-    tree_width,
 )
 
 __version__ = "0.1.0"

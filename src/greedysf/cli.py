@@ -235,10 +235,16 @@ def _trace_for(args, inst: Instance):
 
 
 def _certify_balanced(args, inst: Instance, trace) -> tuple[dict, bool]:
+    K = inst.k if args.K is None else args.K
     if args.certificate:
         bd = obj_to_balanced(_load_certificate(args.certificate))
+        # K sets the caps the clauses check, so the command fixes it, not the
+        # file, under the precondition building checks
+        if K < inst.k:
+            raise InputError(f"K={K} below the pair count {inst.k}")
+        if bd.K != K:
+            raise InputError(f"certificate has K={bd.K}, but this command has K={K}")
     else:
-        K = inst.k if args.K is None else args.K
         bd = build_balanced(trace, inst, K=K, delta=args.delta, alpha=args.alpha)
     report = verify_balanced(bd, trace, inst, args.delta)
     clauses = asdict(report)

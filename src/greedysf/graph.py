@@ -24,7 +24,7 @@ Edge = tuple[int, int, Fraction]
 class WeightedGraph:
     """Immutable undirected graph with exact rational edge weights."""
 
-    __slots__ = ("n", "edges", "_adj", "_metric")
+    __slots__ = ("n", "edges", "_metric")
 
     def __init__(self, n: int, edges: list[Edge]):
         if n < 0:
@@ -42,7 +42,6 @@ class WeightedGraph:
             normalized.append((u, v, w))
         self.n = n
         self.edges = tuple(normalized)
-        self._adj = None
         self._metric = None
 
     def __eq__(self, other):
@@ -57,17 +56,6 @@ class WeightedGraph:
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={len(self.edges)})"
-
-    @property
-    def adj(self) -> list[list[tuple[int, int]]]:
-        """adj[u] = list of (neighbor, edge index)."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for idx, (u, v, _) in enumerate(self.edges):
-                adj[u].append((v, idx))
-                adj[v].append((u, idx))
-            self._adj = adj
-        return self._adj
 
     @property
     def metric(self) -> "Metric":
@@ -126,7 +114,7 @@ def _dijkstra(n, adj, source, targets=frozenset(), bound=None):
             left -= 1
             if not left:
                 break
-        for v, w in adj[u]:
+        for v, w, _ in adj[u]:
             if done[v]:
                 continue
             nd = d + w
@@ -152,7 +140,7 @@ def _ball_search(adj, source, bound):
         if d > bound:
             break
         settled[u] = d
-        for v, w in adj[u]:
+        for v, w, _ in adj[u]:
             if v in settled:
                 continue
             nd = d + w
@@ -166,10 +154,11 @@ def _ball_search(adj, source, bound):
 class Metric:
     """Undirected integer adjacency over one common scale.
 
-    A rational weight w is stored as the integer w * scale.  The scale is the
-    lcm of the denominators of `edges` and of `later`, the weights of edges
-    to be added afterwards, so it is fixed up front and every comparison and
-    tie of the rational metric is kept exactly.
+    `adj[u]` holds one row (neighbour, w * scale, edge index) per edge at u:
+    first those of `edges` in index order, then those added afterwards, whose
+    index is -1.  The scale is the lcm of the denominators of `edges` and of
+    `later`, the weights of edges to be added afterwards, so it is fixed up
+    front and every comparison and tie of the rational metric is kept exactly.
     """
 
     __slots__ = ("n", "adj", "scale")
@@ -179,18 +168,19 @@ class Metric:
         self.scale = math.lcm(
             *(w.denominator for _, _, w in edges), *(w.denominator for w in later)
         )
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v, w in edges:
-            self.add_edge(u, v, w)
+        self.adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for ei, (u, v, w) in enumerate(edges):
+            self.add_edge(u, v, w, ei)
 
-    def add_edge(self, u: int, v: int, w: Fraction):
-        """Store w as w * scale; a weight the scale does not cover is an input error."""
+    def add_edge(self, u: int, v: int, w: Fraction, ei: int = -1):
+        """Store w as w * scale under edge index `ei`; a weight the scale does
+        not cover is an input error."""
         den, scale = w.denominator, self.scale
         if scale % den:
             raise InputError(f"weight {w} is not a multiple of 1/{scale}")
         wi = w.numerator * (scale // den)
-        self.adj[u].append((v, wi))
-        self.adj[v].append((u, wi))
+        self.adj[u].append((v, wi, ei))
+        self.adj[v].append((u, wi, ei))
 
     def extended(self, later: Iterable[Fraction]) -> "Metric":
         """A copy whose scale also covers the weights `later`, to add edges to.
@@ -205,7 +195,7 @@ class Metric:
         if factor == 1:
             copy.adj = [row.copy() for row in self.adj]
         else:
-            copy.adj = [[(v, w * factor) for v, w in row] for row in self.adj]
+            copy.adj = [[(v, w * factor, ei) for v, w, ei in row] for row in self.adj]
         return copy
 
     def distances(self, source: int) -> list[Optional[int]]:
@@ -313,9 +303,9 @@ class Distances:
         g = self.graph
         # the closed ball; every vertex the search did not reach is beyond
         sides = {v: s for v in self.dist if (s := self.side(v, radius)) <= 0}
-        adj = g.adj
+        adj = g.metric.adj
         crossing = [
-            ei for u, su in sides.items() if su < 0 for v, ei in adj[u] if v not in sides
+            ei for u, su in sides.items() if su < 0 for v, _, ei in adj[u] if v not in sides
         ]
         if crossing:
             u, v, _ = g.edges[min(crossing)]
@@ -325,7 +315,7 @@ class Distances:
             )
         kept = sorted(sides)
         remap = {old: new for new, old in enumerate(kept)}
-        inner = {ei for u in kept for v, ei in adj[u] if v in sides}
+        inner = {ei for u in kept for v, _, ei in adj[u] if v in sides}
         edges = [
             (remap[u], remap[v], w) for u, v, w in (g.edges[ei] for ei in sorted(inner))
         ]
@@ -339,13 +329,6 @@ class Distances:
 def open_ball(g: WeightedGraph, center: int, radius: Fraction) -> frozenset[int]:
     """Members of the open ball of the given center and radius."""
     return Distances(g, center, radius).ball(radius)
-
-
-def induced_zero_border(
-    g: WeightedGraph, center: int, radius: Fraction
-) -> tuple[WeightedGraph, dict[int, int]]:
-    """The zero-border cut of the ball of the given center and radius."""
-    return Distances(g, center, radius).zero_border(radius)
 
 
 def overlapping_pairs(member_sets: list[frozenset[int]]) -> list[tuple[int, int]]:
@@ -390,10 +373,10 @@ class UnionFind:
         self.parent[ra] = rb
         return True
 
-    def groups(self, items=None) -> list[set]:
-        """Sets of the given items (default: every touched item), by least member."""
+    def groups(self) -> list[set]:
+        """Sets of every touched item, by least member."""
         out: dict = {}
-        for x in self.parent if items is None else items:
+        for x in self.parent:
             out.setdefault(self.find(x), set()).add(x)
         return sorted(out.values(), key=min)
 

@@ -23,7 +23,6 @@ from .graph import WeightedGraph, girth, obj_to_graph, graph_to_obj
 class TerminalPair:
     s: int
     t: int
-    index: int  # 1-based arrival position
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class Instance:
 
 def make_instance(graph: WeightedGraph, pairs, schedule=None) -> Instance:
     """Build an Instance from raw (s, t) pairs; schedule defaults to empty."""
-    tp = tuple(TerminalPair(s, t, i + 1) for i, (s, t) in enumerate(pairs))
+    tp = tuple(TerminalPair(s, t) for s, t in pairs)
     if schedule is None:
         schedule = [[] for _ in tp]
     sched = tuple(
@@ -83,8 +82,6 @@ def validate_instance(inst: Instance) -> list[str]:
             out.append(f"pairs[{i}]: endpoint out of range")
         if p.s == p.t:
             out.append(f"pairs[{i}]: s == t")
-        if p.index != i + 1:
-            out.append(f"pairs[{i}]: arrival index {p.index} != {i + 1}")
     if len(inst.schedule) != len(inst.pairs):
         out.append(
             f"schedule: length {len(inst.schedule)} != pair count {len(inst.pairs)}"

@@ -86,7 +86,7 @@ class _ForestIndex:
         self.root = [-1] * g.n
         self.depth = [0] * g.n
         self.edge_weight = [0] * len(g.edges)
-        metric = g.metric
+        adj = g.metric.adj
         for r in range(g.n):
             if self.root[r] != -1:
                 continue
@@ -94,8 +94,7 @@ class _ForestIndex:
             stack = [r]
             while stack:
                 u = stack.pop()
-                # g.adj and metric.adj list each vertex's edges in the same order
-                for (v, ei), (_, wi) in zip(g.adj[u], metric.adj[u]):
+                for v, wi, ei in adj[u]:
                     if self.root[v] == -1:
                         self.root[v] = r
                         self.parent[v] = u
@@ -144,12 +143,6 @@ class SteinerTable:
     def __init__(self, g: WeightedGraph, terminals: tuple[int, ...]):
         self.g = g
         self.terminals = terminals
-        metric = g.metric
-        # g.adj and metric.adj list each vertex's edges in the same order
-        self.int_adj = [
-            [(v, wi, ei) for (v, wi), (_, ei) in zip(metric.adj[u], g.adj[u])]
-            for u in range(g.n)
-        ]
         # dp[0]: every vertex alone, the tree a single-terminal mask asks for
         self.dp: dict[int, list] = {0: [0] * g.n}
         self.par: dict[int, list] = {0: [("base",)] * g.n}
@@ -196,6 +189,7 @@ class SteinerTable:
     def _seed_and_walk(self, mask, seeded):
         seed, par = seeded
         n = self.g.n
+        adj = self.g.metric.adj
         heap = [(d, v) for v, d in enumerate(seed) if d is not None]
         heapify(heap)
         done = [False] * n
@@ -204,7 +198,7 @@ class SteinerTable:
             if done[u] or d > seed[u]:
                 continue
             done[u] = True
-            for v, wi, ei in self.int_adj[u]:
+            for v, wi, ei in adj[u]:
                 if done[v]:
                     continue
                 nd = d + wi

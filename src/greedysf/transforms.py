@@ -227,6 +227,8 @@ def extract_sub_instance(
 # -- width and potential -------------------------------------------------------
 
 def _component_width(vertices: set[int], inst: Instance, dists) -> Fraction:
+    """Largest mate distance among the pairs with a terminal in `vertices`;
+    0 if there is none."""
     best = Fraction(0)
     for i, p in enumerate(inst.pairs):
         if p.s in vertices or p.t in vertices:
@@ -236,19 +238,6 @@ def _component_width(vertices: set[int], inst: Instance, dists) -> Fraction:
             if d > best:
                 best = d
     return best
-
-
-def tree_width(tree_edges, inst: Instance) -> Fraction:
-    """Largest original-graph mate distance among terminals the tree touches.
-
-    `tree_edges` are edge indices into the instance graph and should form one
-    connected tree; a terminal-free tree has width 0.
-    """
-    vertices: set[int] = set()
-    for ei in tree_edges:
-        u, v, _ = inst.graph.edges[ei]
-        vertices.update((u, v))
-    return _component_width(vertices, inst, pair_distances(inst))
 
 
 def forest_potential(forest_edges, inst: Instance) -> Fraction:
@@ -307,23 +296,19 @@ def augment_subdivided_solution(
         )
 
     g = inst.graph
-    edge_index_of: dict[tuple[int, int], list[tuple[Fraction, int]]] = {}
-    for ei, (u, v, w) in enumerate(g.edges):
-        edge_index_of.setdefault((min(u, v), max(u, v)), []).append((w, ei))
+    adj = g.metric.adj
 
     def connecting_edges(a: int, b: int) -> set[int]:
         # a deterministic original shortest path; its weight equals what the
-        # split run paid for this sub-pair because its contraction is 1
-        result = shortest_path(g, a, b)
-        if result.path is None:
+        # split run paid for this sub-pair because its contraction is 1.  Each
+        # step takes the lightest, then lowest-index, edge between its ends.
+        path = shortest_path(g, a, b).path
+        if path is None:
             raise InputError(f"sub-pair ({a},{b}) is disconnected in the graph")
-        out = set()
-        for x, y in zip(result.path, result.path[1:]):
-            candidates = edge_index_of.get((min(x, y), max(x, y)))
-            if not candidates:
-                raise InputError(f"path step ({x},{y}) is not a graph edge")
-            out.add(min(candidates)[1])
-        return out
+        return {
+            min((wi, ei) for v, wi, ei in adj[x] if v == y)[1]
+            for x, y in zip(path, path[1:])
+        }
 
     forest: set[int] = set(opt_edge_indices)
     phi, uf = _forest_potential(forest, inst, dists)

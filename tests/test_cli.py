@@ -658,6 +658,41 @@ def test_balanced_certificate_round_trip(tmp_path):
     assert json.loads(again.read_text())["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("K", [1, 1_000_000])
+def test_balanced_certificate_k_must_match_the_command(tmp_path, capsys, K):
+    # K sets the caps of clauses (c)-(e): a certificate may not choose its own
+    canon = tmp_path / "canon.json"
+    run_cli(
+        "generate", "canonical", "--classes", 2, "--per-class", 3,
+        "--delta", 300, "--seed", 2, "--out", canon,
+    )
+    written, given = tmp_path / "written.json", tmp_path / "given.json"
+    flags = ("--kind", "balanced", "--instance", canon, "--delta", 300, "--alpha", "1")
+    assert run_cli("certify", *flags, "--out", written) == 0
+    assert run_cli("certify", *flags, "--K", 6, "--certificate", written) == 0
+    obj = json.loads(written.read_text())
+    obj["certificate"]["K"] = K
+    given.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli("certify", *flags, "--certificate", given) == 2
+    assert f"K={K}" in assert_one_line_error(capsys)
+
+
+def test_balanced_certificate_k_below_pair_count_exits_2(tmp_path, capsys):
+    # building refuses K below the pair count; verifying must too
+    canon, cert = _balanced_certificate(tmp_path)
+    cert["K"] = 1
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(cert))
+    capsys.readouterr()
+    rc = run_cli(
+        "certify", "--kind", "balanced", "--instance", canon,
+        "--delta", 200, "--alpha", "1", "--K", 1, "--certificate", given,
+    )
+    assert rc == 2
+    assert "below the pair count" in assert_one_line_error(capsys)
+
+
 PETERSEN = ("girth", "--cage", "petersen")
 CANONICAL = ("canonical", "--classes", 3, "--per-class", 2, "--delta", 300, "--seed", 7)
 

@@ -1,7 +1,6 @@
 import itertools
 import re
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +14,6 @@ from greedysf.graph import (
     distances_from,
     first_overlap,
     girth,
-    induced_zero_border,
     open_ball,
     graph_to_obj,
     obj_to_graph,
@@ -182,7 +180,7 @@ def test_bounded_distances_agree_with_unbounded(g, data):
 
 
 def zero_border_reference(g, center, radius):
-    """induced_zero_border by a whole-graph scan of Fraction distances."""
+    """The zero-border cut by a whole-graph scan of Fraction distances."""
     dist = distances_from(g, center)
     side = [1 if d is None else (d > radius) - (d < radius) for d in dist]
     for u, v, _ in g.edges:
@@ -206,7 +204,7 @@ def test_induced_zero_border_matches_whole_graph_scan(g, data):
     # a search run past the radius, as for a ball's neighborhood, cuts alike
     farther = Distances(g, center, radius + data.draw(st.integers(0, 30)))
     expected = zero_border_reference(g, center, radius)
-    for cut in (partial(induced_zero_border, g, center), farther.zero_border):
+    for cut in (Distances(g, center, radius).zero_border, farther.zero_border):
         if isinstance(expected, str):
             with pytest.raises(InputError, match=re.escape(expected)):
                 cut(radius)
@@ -272,6 +270,34 @@ def test_extended_metric_is_a_fresh_copy():
         assert (run.n, run.scale, run.adj) == (fresh.n, fresh.scale, fresh.adj)
         run.add_edge(0, 3, F(0))
         assert g.metric.adj == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_graphs())
+def test_metric_rows_carry_edge_ids(g):
+    metric = g.metric
+    for u, row in enumerate(metric.adj):
+        ids = [ei for _, _, ei in row]
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+        for v, wi, ei in row:
+            a, b, w = g.edges[ei]
+            assert {a, b} == {u, v}
+            assert wi == w * metric.scale
+    # each edge has one row at either end
+    ids = sorted(ei for row in metric.adj for _, _, ei in row)
+    assert ids == sorted(2 * list(range(len(g.edges))))
+
+
+def test_extended_metric_keeps_edge_ids():
+    g = WeightedGraph(4, [(0, 1, F(1, 2)), (1, 2, F(3)), (2, 3, F(0)), (0, 1, F(1, 2))])
+    for later in ((F(0),), (F(5),), (F(1, 3), F(7, 4))):
+        run = g.metric.extended(later)
+        factor = run.scale // g.metric.scale
+        run.add_edge(0, 3, later[-1])
+        wi = later[-1] * run.scale
+        assert run.adj[0] == [(1, factor, 0), (1, factor, 3), (3, wi, -1)]
+        assert run.adj[3] == [(2, 0, 2), (0, wi, -1)]
+        assert run.adj[1] == [(v, w * factor, ei) for v, w, ei in g.metric.adj[1]]
 
 
 def test_weights_must_be_nonnegative():
@@ -343,7 +369,7 @@ def test_subdivide_preserves_distances(g):
 
 def test_induced_zero_border_degenerate_radius():
     g = path_graph([1, 1])
-    cut, remap = induced_zero_border(g, 0, F(10))
+    cut, remap = Distances(g, 0, F(10)).zero_border(F(10))
     assert cut.n == 3 and len(cut.edges) == 2
     assert remap == {0: 0, 1: 1, 2: 2}
 
@@ -359,7 +385,7 @@ def test_induced_zero_border_star():
         leaves.append(leaf)
         n += 2
     g = WeightedGraph(n, edges)
-    cut, remap = induced_zero_border(g, 0, F(2))
+    cut, remap = Distances(g, 0, F(2)).zero_border(F(2))
     zero_edges = [(u, v) for u, v, w in cut.edges if w == 0]
     mapped = {remap[leaf] for leaf in leaves}
     assert len(zero_edges) == 3  # leaf clique
@@ -369,12 +395,12 @@ def test_induced_zero_border_star():
 def test_induced_zero_border_crossing_edge_rejected():
     g = path_graph([2])
     with pytest.raises(InputError):
-        induced_zero_border(g, 0, F(1))
+        Distances(g, 0, F(1)).zero_border(F(1))
 
 
 def test_induced_zero_border_sphere_distance_zero():
     g, _ = subdivide_edges(petersen_unit(), F(1, 2))
-    cut, remap = induced_zero_border(g, 0, F(3, 2))
+    cut, remap = Distances(g, 0, F(3, 2)).zero_border(F(3, 2))
     dist = Distances(g, 0, F(3, 2))
     boundary = [v for v in range(g.n) if dist.side(v, F(3, 2)) == 0]
     assert boundary

@@ -268,7 +268,7 @@ def test_metric_rejects_off_scale_weight():
     assert metric.shortest(0, 2).distance == F(5, 6)
     with pytest.raises(InputError):
         metric.add_edge(0, 2, F(1, 5))
-    assert metric.adj[0] == [(1, 6), (2, 21)]
+    assert metric.adj[0] == [(1, 6, 0), (2, 21, -1)]
 
 
 @given(small_instances(), st.sampled_from(list(Rule)))

@@ -31,7 +31,7 @@ def test_validate_degenerate_pair():
     g = WeightedGraph(2, [(0, 1, F(1))])
     inst = Instance(
         graph=g,
-        pairs=(type(make_instance(g, [(0, 1)]).pairs[0])(0, 0, 1),),
+        pairs=(type(make_instance(g, [(0, 1)]).pairs[0])(0, 0),),
         schedule=((),),
     )
     problems = validate_instance(inst)

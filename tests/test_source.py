@@ -76,3 +76,20 @@ def test_one_distance_layer():
     # Steiner DP's own heap over (vertex, terminal subset) states
     assert _modules_using(_imports_heapq) == {"graph", "opt"}
     assert _modules_using(_names_a_search) == {"graph"}
+
+
+def _reads_adj_off_a_non_metric(node) -> bool:
+    # `x.metric.adj` or `metric.adj`; anything else is a second adjacency
+    if not (isinstance(node, ast.Attribute) and node.attr == "adj"):
+        return False
+    owner = node.value
+    return not (
+        (isinstance(owner, ast.Attribute) and owner.attr == "metric")
+        or (isinstance(owner, ast.Name) and owner.id == "metric")
+    )
+
+
+def test_one_adjacency():
+    # a graph's edges are listed once, in its Metric's rows (neighbour,
+    # integer weight, edge index); only graph builds and reads them otherwise
+    assert _modules_using(_reads_adj_off_a_non_metric) <= {"graph"}

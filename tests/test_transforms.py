@@ -27,7 +27,6 @@ from greedysf.transforms import (
     forest_potential,
     subdivide_pairs_rule3,
     to_canonical,
-    tree_width,
 )
 
 F = Fraction
@@ -358,10 +357,11 @@ def test_extract_sub_instance_replays_costs_and_bounds_opt():
 # -- width and potential ------------------------------------------------------------
 
 def test_tree_width_examples():
+    # the potential of a one-tree forest is the tree's weight plus its width
     g = WeightedGraph(4, [(0, 1, F(7)), (2, 3, F(1))])
     inst = make_instance(g, [(0, 1)])
-    assert tree_width([0], inst) == 7
-    assert tree_width([1], inst) == 0  # no terminal inside
+    assert forest_potential([0], inst) == 7 + 7
+    assert forest_potential([1], inst) == 1 + 0  # no terminal inside
 
 
 def test_tree_width_matches_brute_force():
@@ -398,7 +398,9 @@ def test_tree_width_matches_brute_force():
             ),
             default=F(0),
         )
-        assert tree_width(edges, inst) == expected
+        weight = sum((inst.graph.edges[ei][2] for ei in edges), F(0))
+        # one component alone: its potential is its weight plus its width
+        assert forest_potential(edges, inst) == weight + expected
 
 
 def test_forest_potential_examples():
