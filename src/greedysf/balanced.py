@@ -383,6 +383,11 @@ def verify_balanced(
 ) -> BalancedReport:
     """Audit the five clauses of a balanced dual solution.
 
+    Clause (a) also binds the balls to the pairs as the builder does: every
+    surviving pair owns exactly one ball, in its own cost class, and no other
+    pair owns a ball.  Without this a certificate with no balls at all would
+    pass, and the surviving charges would bound nothing.
+
     Clause (e) also checks conservation: the charges, weighted by the traced
     costs, must sum to the greedy total, as the initial all-one charges do.
     The cap on surviving charges involves 55*e^5 and is compared against a
@@ -427,7 +432,26 @@ def verify_balanced(
     if not covered:
         stray = sorted(bd.dangerous - covered_union)
         offenders.append(f"dangerous pairs outside every ball neighborhood: {stray}")
-    clause_a = disjoint and covered
+    before_binding = len(offenders)
+    class_of = _class_of_pair(classes)
+    owned: dict[int, int] = {}
+    for i, b in enumerate(bd.balls):
+        p = b.owner_pair
+        if p in owned:
+            offenders.append(f"balls {owned[p]} and {i} both belong to pair {p}")
+        owned.setdefault(p, i)
+        if bd.statuses[p] is not PairStatus.SURVIVING:
+            offenders.append(f"ball {i} belongs to pair {p}, which is not surviving")
+        if b.class_index != class_of[p]:
+            offenders.append(
+                f"ball {i} is in class {b.class_index}, its pair {p} in class {class_of[p]}"
+            )
+    unowned = sorted(
+        i for i, s in bd.statuses.items() if s is PairStatus.SURVIVING and i not in owned
+    )
+    if unowned:
+        offenders.append(f"surviving pairs without a ball: {unowned}")
+    clause_a = disjoint and covered and len(offenders) == before_binding
 
     clause_b = True
     for i, b in enumerate(bd.balls):

@@ -84,8 +84,6 @@ def canonical_report(
                 anchor=top * pow2(gap),
                 class_indices=tuple(indices),
             )
-    else:
-        grid_ok = len(trace.costs) == 0
 
     low_ok = True
     for i, c in enumerate(trace.contraction):

@@ -64,20 +64,20 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def frac_decimal(value: Fraction, places: int = 6) -> str:
-    """Render a nonnegative rational as a fixed-point decimal string.
+def frac_decimal(value: Fraction) -> str:
+    """Render a nonnegative rational as a decimal string with six places.
 
     Round-half-even on the last digit, so output is deterministic.
     """
     value = Fraction(value)
     sign = "-" if value < 0 else ""
     value = abs(value)
-    scaled = value.numerator * 10**places
+    scaled = value.numerator * 10**6
     q, r = divmod(scaled, value.denominator)
     if 2 * r > value.denominator or (2 * r == value.denominator and q % 2 == 1):
         q += 1
-    whole, frac = divmod(q, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(q, 10**6)
+    return f"{sign}{whole}.{frac:06d}"
 
 
 def pow2(exponent: int) -> Fraction:

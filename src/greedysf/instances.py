@@ -155,7 +155,7 @@ def maximal_matching(g: WeightedGraph) -> list[tuple[int, int]]:
     chosen = []
     used: set[int] = set()
     for u, v in sorted((min(u, v), max(u, v)) for u, v, _ in g.edges):
-        if u not in used and v not in used and u != v:
+        if u not in used and v not in used:
             chosen.append((u, v))
             used.add(u)
             used.add(v)
@@ -191,7 +191,8 @@ CAGES: dict[str, tuple[int, list[tuple[int, int]]]] = {
 }
 
 
-def _bfs_tree_edges(n: int, edges: list[tuple[int, int]], root: int = 0) -> set[tuple[int, int]]:
+def _bfs_tree_edges(n: int, edges: list[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The edges of the breadth-first tree from vertex 0, neighbours in id order."""
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
@@ -200,8 +201,8 @@ def _bfs_tree_edges(n: int, edges: list[tuple[int, int]], root: int = 0) -> set[
         row.sort()
     tree = set()
     seen = [False] * n
-    seen[root] = True
-    queue = [root]
+    seen[0] = True
+    queue = [0]
     qi = 0
     while qi < len(queue):
         u = queue[qi]

@@ -693,6 +693,70 @@ def test_balanced_certificate_k_below_pair_count_exits_2(tmp_path, capsys):
     assert "below the pair count" in assert_one_line_error(capsys)
 
 
+def _no_balls(cert):
+    cert["balls"] = []
+
+
+def _one_ball_deleted(cert):
+    del cert["balls"][3]
+
+
+def _ball_to_a_charged_pair(cert):
+    assert cert["statuses"]["5"] == "charged"
+    cert["balls"][3]["pair"] = 5
+
+
+def _second_ball_for_a_survivor(cert):
+    # vertex 44 lies outside every ball, so no overlap flags this copy
+    cert["balls"].append(dict(cert["balls"][3], center=44))
+
+
+def _starting_state(cert):
+    cert["balls"], cert["dangerous"], cert["step_log"] = [], [], []
+    cert["statuses"] = {i: "surviving" for i in cert["statuses"]}
+    cert["charges"] = {i: "1/1" for i in cert["charges"]}
+
+
+def _ball_in_a_foreign_class(cert):
+    cert["balls"][3]["class"] = 1
+
+
+BINDING_PROBES = [
+    (_no_balls, "surviving pairs without a ball: [0, 1, 2, 3, 4]"),
+    (_one_ball_deleted, "surviving pairs without a ball: [3]"),
+    (_ball_to_a_charged_pair, "ball 3 belongs to pair 5, which is not surviving"),
+    (_second_ball_for_a_survivor, "balls 3 and 5 both belong to pair 3"),
+    (_starting_state, "surviving pairs without a ball: [0, 1, 2, 3, 4, 5]"),
+    (_ball_in_a_foreign_class, "ball 3 is in class 1, its pair 3 in class 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper, offender", BINDING_PROBES, ids=[t.__name__[1:] for t, _ in BINDING_PROBES]
+)
+def test_balanced_certificate_binds_each_ball_to_a_surviving_owner(
+    tmp_path, tamper, offender
+):
+    # the surviving charges bound the greedy cost only through their balls:
+    # each surviving pair owns one ball in its own class, no other pair owns one
+    canon = tmp_path / "canon.json"
+    run_cli(
+        "generate", "canonical", "--classes", 2, "--per-class", 3,
+        "--delta", 300, "--seed", 2, "--out", canon,
+    )
+    written, given, out = tmp_path / "written.json", tmp_path / "given.json", tmp_path / "out.json"
+    flags = ("--kind", "balanced", "--instance", canon, "--delta", 300, "--alpha", "1")
+    assert run_cli("certify", *flags, "--out", written) == 0
+    cert = json.loads(written.read_text())["certificate"]
+    tamper(cert)
+    given.write_text(json.dumps(cert))
+    assert run_cli("certify", *flags, "--certificate", given, "--out", out) == 1
+    payload = json.loads(out.read_text())
+    assert payload["clauses"]["disjoint_and_covered"] is False
+    assert offender in payload["offenders"]
+    assert not any("overlap" in o for o in payload["offenders"])
+
+
 PETERSEN = ("girth", "--cage", "petersen")
 CANONICAL = ("canonical", "--classes", 3, "--per-class", 2, "--delta", 300, "--seed", 7)
 

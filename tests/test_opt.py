@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -323,3 +324,51 @@ def test_serialize_solution():
     inst = make_instance(g, [(0, 1)])
     sol = steiner_forest_exact(inst)
     assert serialize_solution(sol) == '{"edges":[[0,1]],"weight":"5/2"}'
+
+
+def _scaled(inst, c):
+    """The instance with every graph and schedule weight multiplied by c."""
+    g = inst.graph
+    return make_instance(
+        WeightedGraph(g.n, [(u, v, w * c) for u, v, w in g.edges]),
+        [(p.s, p.t) for p in inst.pairs],
+        [[(u, v, w * c) for u, v, w in edges] for edges in inst.schedule],
+    )
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_weight_scaling_scales_costs_and_keeps_choices(seed):
+    # rational weights with zeros and ties, and reveals, on 9 vertices; the
+    # runs and the optimum compare weights only, so scaling by c > 0 changes
+    # what they choose nowhere and multiplies what they cost by c
+    base = gen_random_instance(9, 14, 4, seed)
+    rng = random.Random(seed)
+
+    def weight():
+        return F(rng.randint(0, 12), rng.randint(1, 4))
+
+    slots = list(itertools.combinations(range(9), 2))
+    inst = make_instance(
+        WeightedGraph(9, [(u, v, weight()) for u, v, _ in base.graph.edges]),
+        [(p.s, p.t) for p in base.pairs],
+        [
+            [(u, v, weight()) for u, v in rng.sample(slots, rng.randint(0, 2))]
+            for _ in base.pairs
+        ],
+    )
+    forest, tstar = exact_optima(inst)
+    for c in (F(7, 3), F(1, 1000), F(97)):
+        scaled = _scaled(inst, c)
+        for rule in (Rule.RULE1, Rule.RULE2, Rule.RULE3):
+            t, tc = run_greedy(inst, rule), run_greedy(scaled, rule)
+            assert tc.paths == t.paths
+            assert tc.shortcuts_added == t.shortcuts_added
+            assert tc.contraction == t.contraction
+            assert tc.costs == [x * c for x in t.costs]
+            assert tc.total_cost == t.total_cost * c
+        forest_c, tstar_c = exact_optima(scaled)
+        assert forest_c.edge_indices == forest.edge_indices
+        assert forest_c.edges == forest.edges
+        assert forest_c.weight == forest.weight * c
+        assert tstar_c == (None if tstar is None else tstar * c)
