@@ -8,7 +8,7 @@ from typing import Optional
 
 from .errors import InputError
 from .exact import floor_log2, pow2
-from .greedy import RunTrace
+from .greedy import RunTrace, equal_cost_classes
 from .instances import Instance
 
 
@@ -58,11 +58,10 @@ def canonical_report(
 
     grid_ok = True
     params = None
-    costs = sorted({c for c in trace.costs}, reverse=True)
-    if any(c == 0 for c in costs):
+    costs = [c for c, _ in equal_cost_classes(trace)]
+    if any(c == 0 for c in trace.costs):
         grid_ok = False
         offenders.append("a pair of cost zero cannot sit on the cost grid")
-        costs = [c for c in costs if c > 0]
     if costs:
         gap = delta + 10
         top = costs[0]

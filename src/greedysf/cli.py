@@ -14,9 +14,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from .errors import GreedysfError, InputError, ParseError
 from .exact import floor_log2, format_fraction, frac_decimal, parse_fraction
@@ -66,22 +67,30 @@ from .transforms import (
     to_canonical,
 )
 
+
+@dataclass(frozen=True)
+class RunValues:
+    """The value columns of a run row, in column order; None where absent.
+
+    Each value fills two cells: its exact fraction under the column's name,
+    and its decimal under the name plus `_dec`.  An absent value reads "" in
+    both, but "inf" in a contraction column, where absent means unbounded.
+    """
+
+    greedy_cost: Fraction
+    opt_cost: Optional[Fraction]
+    tstar_cost: Optional[Fraction]
+    ratio: Optional[Fraction]
+    contraction_min: Optional[Fraction]
+    contraction_max: Optional[Fraction]
+
+
+CONTRACTION_COLUMNS = [f.name for f in fields(RunValues) if f.name.startswith("contraction_")]
 RUN_CSV_FIELDS = [
     "instance",
     "rule",
     "k",
-    "greedy_cost",
-    "greedy_cost_dec",
-    "opt_cost",
-    "opt_cost_dec",
-    "tstar_cost",
-    "tstar_cost_dec",
-    "ratio",
-    "ratio_dec",
-    "contraction_min",
-    "contraction_min_dec",
-    "contraction_max",
-    "contraction_max_dec",
+    *(cell for f in fields(RunValues) for cell in (f.name, f"{f.name}_dec")),
     "verdicts",
 ]
 
@@ -139,12 +148,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _fr(value, dec=False, missing=""):
-    if value is None:
-        return missing
-    return frac_decimal(value) if dec else format_fraction(value)
-
-
 def cmd_run(args) -> int:
     inst = _load_instance(args.instance)
     rule = Rule.parse(args.rule)
@@ -164,26 +167,21 @@ def cmd_run(args) -> int:
             verdicts.append("opt<=greedy:" + str(opt_w <= trace.total_cost).lower())
     # an infinite contraction dominates the max; the min ignores it
     finite = [c for c in trace.contraction if c is not None]
-    cmin = min(finite) if finite else None
-    cmax = max(finite) if finite and len(finite) == trace.k else None
-    row = {
-        "instance": inst.digest(),
-        "rule": f"rule{rule.value}",
-        "k": inst.k,
-        "greedy_cost": _fr(trace.total_cost),
-        "greedy_cost_dec": _fr(trace.total_cost, dec=True),
-        "opt_cost": _fr(opt_w),
-        "opt_cost_dec": _fr(opt_w, dec=True),
-        "tstar_cost": _fr(tstar_w),
-        "tstar_cost_dec": _fr(tstar_w, dec=True),
-        "ratio": _fr(ratio),
-        "ratio_dec": _fr(ratio, dec=True),
-        "contraction_min": _fr(cmin, missing="inf"),
-        "contraction_min_dec": _fr(cmin, dec=True, missing="inf"),
-        "contraction_max": _fr(cmax, missing="inf"),
-        "contraction_max_dec": _fr(cmax, dec=True, missing="inf"),
-        "verdicts": ";".join(verdicts),
-    }
+    values = RunValues(
+        trace.total_cost,
+        opt_w,
+        tstar_w,
+        ratio,
+        min(finite) if finite else None,
+        max(finite) if finite and len(finite) == trace.k else None,
+    )
+    row = {"instance": inst.digest(), "rule": f"rule{rule.value}", "k": inst.k}
+    for name, value in asdict(values).items():
+        if value is None:
+            row[name] = row[f"{name}_dec"] = "inf" if name in CONTRACTION_COLUMNS else ""
+        else:
+            row[name], row[f"{name}_dec"] = format_fraction(value), frac_decimal(value)
+    row["verdicts"] = ";".join(verdicts)
     if args.csv:
         new = not os.path.exists(args.csv)
         with open(args.csv, "a", newline="", encoding="utf-8") as fh:
@@ -401,22 +399,17 @@ def _bucket(contraction: str) -> str:
 def cmd_report(args) -> int:
     rows = []
     labels = []
-    fields = None
     for path in args.runs:
         reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
-        if fields is None:
-            fields = reader.fieldnames
-        elif reader.fieldnames != fields:
-            raise GreedysfError(f"CSV schema mismatch in {path}")
-        if fields != RUN_CSV_FIELDS:
-            raise GreedysfError("input CSVs do not follow the run-row schema")
+        if reader.fieldnames != RUN_CSV_FIELDS:
+            raise GreedysfError(f"{path}: header does not follow the run-row schema")
         for r in reader:
             try:
                 if None in r or None in r.values():
-                    raise ParseError(f"expected {len(fields)} cells")
+                    raise ParseError(f"expected {len(RUN_CSV_FIELDS)} cells")
                 if not re.fullmatch(r"[0-9]+", r["k"]):
                     raise ParseError(f"k is not an integer: {r['k']!r}")
-                labels.extend(_bucket(r[b]) for b in ("contraction_min", "contraction_max"))
+                labels.extend(_bucket(r[c]) for c in CONTRACTION_COLUMNS)
             except GreedysfError as exc:
                 raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
             rows.append(r)

@@ -93,11 +93,10 @@ def floor_log2(value) -> int:
     if value <= 0:
         raise InputError("floor_log2 requires a positive value")
     e = value.numerator.bit_length() - value.denominator.bit_length()
-    # bit_length estimate can be off by one in either direction
-    while pow2(e) > value:
+    # with a = num bits and b = den bits, 2**(a-1) / 2**b < value < 2**a /
+    # 2**(b-1), so 2**(e-1) < value < 2**(e+1): e is exact or one too high
+    if pow2(e) > value:
         e -= 1
-    while pow2(e + 1) <= value:
-        e += 1
     return e
 
 

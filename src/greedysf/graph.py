@@ -444,20 +444,12 @@ def girth(g: WeightedGraph) -> Optional[int]:
     """Length of the shortest cycle of the unweighted skeleton; None if acyclic.
 
     Parallel edges count as a 2-cycle.  Weights are ignored: the skeleton
-    hop-count is what the auxiliary-graph and cage arguments use.
+    hop-count is what the auxiliary-graph and cage arguments use.  The search
+    walks the rows of the graph's metric.
     """
-    seen = set()
-    simple_adj = [[] for _ in range(g.n)]
-    parallel = False
-    for u, v, _ in g.edges:
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            parallel = True
-        else:
-            seen.add(key)
-            simple_adj[u].append(v)
-            simple_adj[v].append(u)
-    if parallel:
+    adj = g.metric.adj
+    # a row naming a neighbour twice holds two parallel edges
+    if any(len({v for v, _, _ in row}) < len(row) for row in adj):
         return 2
     best = None
     for root in range(g.n):
@@ -471,7 +463,7 @@ def girth(g: WeightedGraph) -> Optional[int]:
             qi += 1
             if best is not None and 2 * depth[u] >= best:
                 break
-            for v in simple_adj[u]:
+            for v, _, _ in adj[u]:
                 if depth[v] == -1:
                     depth[v] = depth[u] + 1
                     parent[v] = u

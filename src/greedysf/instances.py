@@ -191,23 +191,22 @@ CAGES: dict[str, tuple[int, list[tuple[int, int]]]] = {
 }
 
 
-def _bfs_tree_edges(n: int, edges: list[tuple[int, int]]) -> set[tuple[int, int]]:
-    """The edges of the breadth-first tree from vertex 0, neighbours in id order."""
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for row in adj:
-        row.sort()
+def _bfs_tree_edges(g: WeightedGraph) -> set[tuple[int, int]]:
+    """The edges of the breadth-first tree from vertex 0, neighbours in id order.
+
+    Walks the rows of the graph's metric, which list each vertex's
+    neighbours in edge-index order: id order for edges sorted by (min, max).
+    """
+    adj = g.metric.adj
     tree = set()
-    seen = [False] * n
+    seen = [False] * g.n
     seen[0] = True
     queue = [0]
     qi = 0
     while qi < len(queue):
         u = queue[qi]
         qi += 1
-        for v in adj[u]:
+        for v, _, _ in adj[u]:
             if not seen[v]:
                 seen[v] = True
                 tree.add((min(u, v), max(u, v)))
@@ -224,8 +223,9 @@ def gen_girth_lower_bound(cage: str) -> Instance:
     if cage not in CAGES:
         raise InputError(f"unknown cage {cage!r}; choices: {sorted(CAGES)}")
     n, skeleton = CAGES[cage]
-    g_value = girth(WeightedGraph(n, [(u, v, Fraction(1)) for u, v in skeleton]))
-    tree = _bfs_tree_edges(n, skeleton)
+    unit = WeightedGraph(n, [(u, v, Fraction(1)) for u, v in skeleton])
+    g_value = girth(unit)
+    tree = _bfs_tree_edges(unit)
     half_girth = Fraction(g_value, 2)
     weighted = [
         (u, v, Fraction(1) if (u, v) in tree else half_girth) for u, v in skeleton

@@ -272,11 +272,12 @@ def augment_subdivided_solution(
     """Grow an optimum of the parent instance into a solution of the split one.
 
     Requires the parent's per-pair cost sequence or original-distance
-    sequence to be non-increasing.  Replays the arrivals; whenever the
-    current forest misses some sub-pair of a parent, the edges the run used
-    for those sub-pairs are added.  The log records the potential after each
-    step and the audit asserts it never increases, which pins the final
-    weight at twice the optimum.
+    sequence to be non-increasing.  Replays the arrivals and takes each
+    parent's sub-pairs one at a time: a sub-pair the current forest does not
+    yet join gets the edges of a shortest path between its ends, each added
+    only if it joins two components, so the edge set stays a forest.  The
+    log records the potential after each step and the audit asserts it never
+    increases, which pins the final weight at twice the optimum.
     """
     if receipt.kind != "subdivide_rule3":
         raise InputError("expected the receipt of a pair subdivision")
@@ -298,17 +299,18 @@ def augment_subdivided_solution(
     g = inst.graph
     adj = g.metric.adj
 
-    def connecting_edges(a: int, b: int) -> set[int]:
-        # a deterministic original shortest path; its weight equals what the
-        # split run paid for this sub-pair because its contraction is 1.  Each
-        # step takes the lightest, then lowest-index, edge between its ends.
+    def connecting_edges(a: int, b: int) -> list[int]:
+        # a deterministic original shortest path, in path order; its weight
+        # equals what the split run paid for this sub-pair because its
+        # contraction is 1.  Each step takes the lightest, then lowest-index,
+        # edge between its ends.
         path = shortest_path(g, a, b).path
         if path is None:
             raise InputError(f"sub-pair ({a},{b}) is disconnected in the graph")
-        return {
+        return [
             min((wi, ei) for v, wi, ei in adj[x] if v == y)[1]
             for x, y in zip(path, path[1:])
-        }
+        ]
 
     forest: set[int] = set(opt_edge_indices)
     phi, uf = _forest_potential(forest, inst, dists)
@@ -317,13 +319,16 @@ def augment_subdivided_solution(
 
     for i in range(inst.k):
         # `uf` holds the components of the forest as it stands
-        missing = [
-            c
-            for c in children_of[i]
-            if uf.find(subdivided.pairs[c].s) != uf.find(subdivided.pairs[c].t)
-        ]
-        for c in missing:
-            forest |= connecting_edges(subdivided.pairs[c].s, subdivided.pairs[c].t)
+        missing = []
+        for c in children_of[i]:
+            s, t = subdivided.pairs[c].s, subdivided.pairs[c].t
+            if uf.find(s) == uf.find(t):
+                continue
+            missing.append(c)
+            for ei in connecting_edges(s, t):
+                u, v, _ = g.edges[ei]
+                if uf.union(u, v):
+                    forest.add(ei)
         # with nothing missing the forest, hence its potential, is unchanged
         new_phi, uf = _forest_potential(forest, inst, dists) if missing else (phi, uf)
         log["steps"].append(

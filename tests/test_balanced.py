@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,23 @@ def test_is_canonical_missing_schedule():
     report = canonical_report(inst, trace, F(1), 20)
     assert not report.schedule_announces_costs
     assert report.costs_on_separated_grid and report.low_contraction
+
+
+@pytest.mark.parametrize(
+    "edge, offender",
+    [
+        ((0, 2, F(4)), "schedule[0] edge does not join the pair endpoints"),
+        ((1, 0, F(3)), "schedule[0] weight 3 differs from traced cost 4"),
+    ],
+)
+def test_is_canonical_flags_a_wrong_schedule_edge(edge, offender):
+    g = WeightedGraph(3, [(0, 1, F(4)), (1, 2, F(4))])
+    inst = make_instance(g, [(0, 1)], [[(0, 1, F(4))]])
+    trace = run_greedy(inst, Rule.RULE3)
+    assert canonical_report(inst, trace, F(1), 20).is_canonical
+    report = canonical_report(replace(inst, schedule=((edge,),)), trace, F(1), 20)
+    assert not report.schedule_announces_costs and not report.is_canonical
+    assert report.offenders == (offender,)
 
 
 def test_is_canonical_flags_high_contraction():
@@ -240,18 +258,26 @@ def test_construct_delete_and_recharge_branch():
     assert report.all_ok, report.offenders
 
 
-def test_construct_grow_and_defer_branch():
+def _grow_and_defer_certificate():
+    """The star whose one ball, pair 0's, grows once and defers pairs 1..81
+    as dangerous.
+
+    K=4 gives L=2: deletion threshold 16 * 10 * 2**10 is out of reach, the
+    halved ball carries 81 * 198/100 = 160.38 > 160, and 68 border pairs at
+    distance exactly 1 outweigh 13 interior ones, forcing one growth step.
+    """
     from greedysf.balanced import _construct
 
-    # K=4 gives L=2: deletion threshold 16 * 10 * 2**10 is out of reach, the
-    # halved ball carries 81 * 198/100 = 160.38 > 160, and 68 border pairs at
-    # distance exactly 1 outweigh 13 interior ones, forcing one growth step
     deep = [(F(99, 100), F(99, 100), None)] * 13
     border = [(F(1), F(1), F(198, 100))] * 68
     inst = star_instance(16, deep + border)
     trace = run_greedy(inst, Rule.RULE3)
+    return inst, trace, _construct(trace, inst, K=4)
+
+
+def test_construct_grow_and_defer_branch():
+    inst, trace, bd = _grow_and_defer_certificate()
     assert set(trace.costs[1:]) == {F(198, 100)}
-    bd = _construct(trace, inst, K=4)
     grow = [e for e in bd.step_log if e["event"] == "grow_and_defer"]
     assert len(grow) == 1 and grow[0]["increments"] == 1
     assert bd.statuses[0] is PairStatus.SURVIVING
@@ -313,6 +339,49 @@ def test_verifier_flags_charged_with_nonzero_charge():
     charges[victim] = F(1, 2)
     report = verify_balanced(corrupted(bd, charges=charges), trace, inst, 200)
     assert not report.charges_capped
+
+
+def _move_ball(**changes):
+    return lambda bd: {"balls": [replace(bd.balls[0], **changes)]}
+
+
+def _charge(pair, value):
+    return lambda bd: {"charges": {**bd.charges, pair: value}}
+
+
+# one field of the valid certificate tampered: (tamper, the clause flag that
+# must fail, a piece of its offender)
+BALANCED_TAMPERS = {
+    # a ball around the far endpoint covers none of the dangerous pairs
+    "uncovered": (_move_ball(center=1), "disjoint_and_covered", "outside every"),
+    # a tiny owner charge caps the interior below its 13 deep pairs
+    "interior": (_charge(0, F(1, 10**6)), "interior_cost_capped", "interior cost exceeds"),
+    # at the halved radius the 68 pairs at distance 1 sit on the border
+    "border": (_move_ball(radius=F(1)), "border_cost_capped", "border cost exceeds"),
+    "survivor_below_1": (_charge(0, F(1, 2)), "charges_capped", "pair 0: surviving charge below 1"),
+    "dangerous_over_cap": (_charge(5, F(2)), "charges_capped", "pair 5: dangerous charge 2 exceeds"),
+    "dangerous_below_1": (_charge(5, F(1, 2)), "charges_capped", "pair 5: dangerous charge below 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(BALANCED_TAMPERS))
+def test_verifier_flags_each_tampered_clause(name):
+    tamper, flag, offender = BALANCED_TAMPERS[name]
+    inst, trace, bd = _grow_and_defer_certificate()
+    assert verify_balanced(bd, trace, inst, 200).all_ok
+    report = verify_balanced(corrupted(bd, **tamper(bd)), trace, inst, 200)
+    assert getattr(report, flag) is False and not report.all_ok
+    assert any(offender in o for o in report.offenders), report.offenders
+
+
+def test_verifier_flags_an_unclassified_pair():
+    inst, trace = canonical_setup(2, 2, 200)
+    bd = build_balanced(trace, inst, K=4, delta=200, alpha=1)
+    victim = next(i for i, s in bd.statuses.items() if s is PairStatus.CHARGED)
+    statuses = {**bd.statuses, victim: PairStatus.UNCLASSIFIED}
+    report = verify_balanced(corrupted(bd, statuses=statuses), trace, inst, 200)
+    assert not report.charges_capped
+    assert report.offenders == (f"pair {victim} is unclassified",)
 
 
 # -- the bound audit ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import shlex
 import shutil
@@ -10,7 +11,16 @@ import pytest
 from greedysf import opt
 from greedysf.cli import main
 from greedysf.exact import format_fraction
-from greedysf.instances import parse_instance
+from greedysf.graph import WeightedGraph
+from greedysf.greedy import Rule, pair_distances, run_greedy
+from greedysf.instances import (
+    gen_random_instance,
+    make_instance,
+    parse_instance,
+    serialize_instance,
+)
+from greedysf.opt import steiner_forest_exact
+from greedysf.transforms import augment_subdivided_solution, subdivide_pairs_rule3
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -323,6 +333,16 @@ def test_report_schema_mismatch(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert run_cli("report", "--runs", bad, "--out-dir", tmp_path / "r") == 2
+
+
+def test_report_second_file_with_another_header_exits_2(tmp_path, capsys):
+    good = _petersen_run_csv(tmp_path)
+    header, row = good.read_text().splitlines()
+    bad = tmp_path / "reordered.csv"
+    bad.write_text(",".join(reversed(header.split(","))) + "\n" + row + "\n")
+    capsys.readouterr()
+    assert run_cli("report", "--runs", good, bad, "--out-dir", tmp_path / "r") == 2
+    assert str(bad) in assert_one_line_error(capsys)
 
 
 def _petersen_run_csv(tmp_path):
@@ -881,3 +901,60 @@ def test_non_utf8_file_exits_2(tmp_path, capsys, reader):
     capsys.readouterr()
     assert run_cli(*argv) == 2
     assert str(bad) in assert_one_line_error(capsys)
+
+
+def test_potential_audit_adds_each_sub_pair_once(tmp_path, capsys):
+    # pairs by decreasing distance (70, 68, 60, 51): at pair (5,7) both sub-
+    # pairs (5,0) and (0,7) are missing, and adding both paths would close
+    # the cycle 5-0-7-4-5
+    base = gen_random_instance(8, 12, 4, 190)
+    assert sorted((p.s, p.t) for p in base.pairs) == [(0, 2), (4, 5), (5, 7), (6, 7)]
+    inst = make_instance(base.graph, [(0, 2), (6, 7), (5, 7), (4, 5)])
+    assert pair_distances(inst) == [70, 68, 60, 51]
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(inst))
+    capsys.readouterr()
+    assert run_cli("audit", "--kind", "potential", "--instance", path) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+    trace = run_greedy(inst, Rule.RULE3)
+    split, receipt = subdivide_pairs_rule3(inst, trace)
+    opt_edges = steiner_forest_exact(inst).edge_indices
+    _, log = augment_subdivided_solution(opt_edges, inst, trace, split, receipt)
+    # sub-pair 2 is (5,0); its path joins sub-pair 3, (0,7), which is skipped
+    assert [(split.pairs[c].s, split.pairs[c].t) for c in (2, 3)] == [(5, 0), (0, 7)]
+    assert [step["added_for"] for step in log["steps"]] == [[], [], [2], []]
+
+
+def test_balanced_certificate_redistributes_a_skipped_pair(tmp_path, capsys):
+    raw, canon, cert = (tmp_path / name for name in ("r.json", "c.json", "b.json"))
+    run_cli("generate", "random", "--n", 13, "--m", 23, "--k", 9, "--seed", 173, "--out", raw)
+    assert run_cli(
+        "transform", "--kind", "canonical", "--alpha", 2, "--delta", 400,
+        "--instance", raw, "--instance-out", canon, "--receipt-out", tmp_path / "rc.json",
+    ) == 0
+    capsys.readouterr()
+    assert run_cli(
+        "certify", "--kind", "balanced", "--delta", 400, "--alpha", 4,
+        "--instance", canon, "--out", cert,
+    ) == 0
+    assert capsys.readouterr().out == "pass\n"
+    events = [e["event"] for e in json.loads(cert.read_text())["certificate"]["step_log"]]
+    assert events == ["redistribute_skipped", "halve_and_absorb", "halve_and_absorb"]
+    assert run_cli("audit", "--kind", "conservation", "--certificate", cert) == 0
+    assert json.loads(capsys.readouterr().out) == {"conserved": True, "steps": 3}
+
+
+def test_report_counts_an_unbounded_contraction_as_inf(tmp_path):
+    # under rule 1 the first path joins the second pair before it arrives:
+    # cost 0, contraction inf
+    graph = WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(make_instance(graph, [(0, 2), (0, 1)])))
+    csv_path = tmp_path / "runs.csv"
+    run_cli("run", "--instance", path, "--rule", "1", "--csv", csv_path)
+    row = next(csv.DictReader(csv_path.read_text().splitlines()))
+    assert row["contraction_max"] == row["contraction_max_dec"] == "inf"
+    out_dir = tmp_path / "report"
+    assert run_cli("report", "--runs", csv_path, "--out-dir", out_dir) == 0
+    hist = (out_dir / "contraction_histogram.csv").read_text().splitlines()
+    assert hist == ["bucket,count", '"[2^0,2^1)",1', "inf,1"]

@@ -126,6 +126,32 @@ def test_verifier_rejects_radius_beyond_size_bounds():
     assert report.offenders == ("radius exceeds the subset-size bound",)
 
 
+# one field of the valid blocking collection tampered: (field, replacement,
+# the flag that must fail, a piece of its offender)
+CLASS_DUAL_TAMPERS = {
+    "skipped_fraction": ("skipped", (2,) * 9, "skipped_fraction_ok", "exceeds 5*|balls|"),
+    "center_off_pair": ("balls", ((3, 0), (2, 1)), "centers_at_endpoints", "ball at 3"),
+    "overlap": ("balls", ((0, 0), (2, 1), (4, 2)), "balls_disjoint", "balls 0 and 2 overlap"),
+    "counting": ("edges", (), "counting_identity", "|aux|=0"),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASS_DUAL_TAMPERS))
+def test_verifier_flags_each_tampered_field(name):
+    field, value, flag, offender = CLASS_DUAL_TAMPERS[name]
+    inst = blocking_instance()
+    trace = run_greedy(inst, Rule.RULE3)
+    coll, aux = build_class_duals(trace, inst, [0, 1, 2])
+    assert verify_class_duals(coll, aux, trace, inst, class_size=3).all_ok
+    if field == "edges":
+        aux = replace(aux, edges=value)
+    else:
+        coll = replace(coll, **{field: value})
+    report = verify_class_duals(coll, aux, trace, inst, class_size=3)
+    assert getattr(report, flag) is False and not report.all_ok
+    assert any(offender in o for o in report.offenders), report.offenders
+
+
 def test_builder_validates_inputs():
     g = WeightedGraph(4, [(0, 1, F(8)), (2, 3, F(4))])
     inst = make_instance(g, [(0, 1), (2, 3)])

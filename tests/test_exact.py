@@ -75,6 +75,20 @@ def test_floor_log2_matches_definition(num, den):
     assert pow2(e) <= x < pow2(e + 1)
 
 
+_big = st.one_of(st.integers(1, 2**200), st.integers(0, 200).map(lambda k: 2**k))
+
+
+@given(_big, _big)
+def test_floor_log2_estimate_is_exact_or_one_high(num, den):
+    # floor_log2 starts from the bit-length difference and only ever steps
+    # down, once: the estimate is never too low
+    x = Fraction(num, den)
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    assert pow2(e - 1) < x < pow2(e + 1)
+    got = floor_log2(x)
+    assert got in (e - 1, e) and pow2(got) <= x < pow2(got + 1)
+
+
 def test_lg_plus():
     assert lg_plus(1) == 1
     assert lg_plus(2) == 1

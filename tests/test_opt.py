@@ -319,6 +319,14 @@ def test_dual_lower_bound_overlap_detected():
     assert not rep.balls_disjoint and rep.vacuous
 
 
+def test_dual_lower_bound_flags_a_center_off_the_terminals():
+    g = WeightedGraph(3, [(0, 1, F(2)), (1, 2, F(2))])
+    inst = make_instance(g, [(0, 2)])
+    rep = dual_lower_bound_audit([(1, F(1))], inst, MateMap(inst), F(4))
+    assert not rep.centers_are_terminals and rep.vacuous and not rep.bound_holds
+    assert rep.offenders == ("ball 0 center 1 is not a terminal",)
+
+
 def test_serialize_solution():
     g = WeightedGraph(2, [(0, 1, F(5, 2))])
     inst = make_instance(g, [(0, 1)])

@@ -263,7 +263,40 @@ def _reads_adj_off_a_non_metric(node) -> bool:
     )
 
 
+def _is_per_vertex_lists(node) -> bool:
+    # `[[] for _ in range(...)]`: one empty list per vertex, an adjacency's shell
+    return (
+        isinstance(node, ast.ListComp)
+        and isinstance(node.elt, ast.List)
+        and not node.elt.elts
+        and any(
+            isinstance(gen.iter, ast.Call)
+            and isinstance(gen.iter.func, ast.Name)
+            and gen.iter.func.id == "range"
+            for gen in node.generators
+        )
+    )
+
+
+def _per_vertex_list_sites(node: ast.AST, scope: str):
+    """The dotted scope of each per-vertex list of lists built under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _per_vertex_list_sites(child, f"{scope}.{child.name}")
+            continue
+        if _is_per_vertex_lists(child):
+            yield scope
+        yield from _per_vertex_list_sites(child, scope)
+
+
 def test_one_adjacency():
     # a graph's edges are listed once, in its Metric's rows (neighbour,
     # integer weight, edge index); only graph builds and reads them otherwise
     assert _modules_using(_reads_adj_off_a_non_metric) <= {"graph"}
+    # and only the Metric builds a list per vertex to hold them
+    sites = [
+        site
+        for path in sorted(SRC.glob("*.py"))
+        for site in _per_vertex_list_sites(_tree(path), path.stem)
+    ]
+    assert sites == ["graph.Metric.__init__"]
