@@ -101,12 +101,15 @@ def run_greedy(inst: Instance, rule: Rule) -> RunTrace:
     )
 
 
-def pair_distances(inst: Instance) -> list[Optional[Fraction]]:
+def pair_distances(inst: Instance) -> tuple[Optional[Fraction], ...]:
     """Original-graph distance of every pair, None where disconnected.
 
     One search per distinct source, stopped once that source's mates are
-    settled.
+    settled.  The distances are computed once per instance and kept on it,
+    as the graph keeps its metric; every later call returns the same tuple.
     """
+    if inst._pair_distances is not None:
+        return inst._pair_distances
     g = inst.graph
     mates: dict[int, set[int]] = {}
     for pair in inst.pairs:
@@ -115,10 +118,11 @@ def pair_distances(inst: Instance) -> list[Optional[Fraction]]:
         mates.setdefault(pair.s, set()).add(pair.t)
     metric = g.metric
     found = {s: metric.distances_to(s, ts) for s, ts in mates.items()}
-    out = []
-    for pair in inst.pairs:
-        d = found[pair.s][pair.t]
-        out.append(None if d is None else Fraction(d, metric.scale))
+    out = tuple(
+        None if (d := found[pair.s][pair.t]) is None else Fraction(d, metric.scale)
+        for pair in inst.pairs
+    )
+    object.__setattr__(inst, "_pair_distances", out)
     return out
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 from .errors import InputError, ParseError
 from .exact import format_fraction, lg_plus, parse_edge, parse_int, parse_list, pow2
@@ -30,6 +31,11 @@ class Instance:
     graph: WeightedGraph
     pairs: tuple[TerminalPair, ...]
     schedule: tuple[tuple[tuple[int, int, Fraction], ...], ...]
+    # `greedy.pair_distances` fills this on first use; it is no part of the
+    # instance's value, so equality, hash, repr and digest never see it
+    _pair_distances: Optional[tuple[Optional[Fraction], ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def k(self) -> int:

@@ -226,13 +226,12 @@ def extract_sub_instance(
 
 # -- width and potential -------------------------------------------------------
 
-def _component_width(vertices: set[int], inst: Instance, dists) -> Fraction:
+def _component_width(vertices: set[int], inst: Instance) -> Fraction:
     """Largest mate distance among the pairs with a terminal in `vertices`;
     0 if there is none."""
     best = Fraction(0)
-    for i, p in enumerate(inst.pairs):
+    for i, (p, d) in enumerate(zip(inst.pairs, pair_distances(inst))):
         if p.s in vertices or p.t in vertices:
-            d = dists[i]
             if d is None:
                 raise InputError(f"pair {i} is disconnected in the graph")
             if d > best:
@@ -242,12 +241,11 @@ def _component_width(vertices: set[int], inst: Instance, dists) -> Fraction:
 
 def forest_potential(forest_edges, inst: Instance) -> Fraction:
     """Forest weight plus the total width of its components."""
-    return _forest_potential(forest_edges, inst, pair_distances(inst))[0]
+    return _forest_potential(forest_edges, inst)[0]
 
 
-def _forest_potential(forest_edges, inst: Instance, dists) -> tuple[Fraction, UnionFind]:
-    """`forest_potential` given the instance's `pair_distances`, with the
-    union-find of the forest's components."""
+def _forest_potential(forest_edges, inst: Instance) -> tuple[Fraction, UnionFind]:
+    """`forest_potential` with the union-find of the forest's components."""
     g = inst.graph
     uf = UnionFind()
     weight = Fraction(0)
@@ -257,7 +255,7 @@ def _forest_potential(forest_edges, inst: Instance, dists) -> tuple[Fraction, Un
             raise InputError("edge set contains a cycle; not a forest")
         weight += w
     width = sum(
-        (_component_width(comp, inst, dists) for comp in uf.groups()), Fraction(0)
+        (_component_width(comp, inst) for comp in uf.groups()), Fraction(0)
     )
     return weight + width, uf
 
@@ -313,7 +311,7 @@ def augment_subdivided_solution(
         ]
 
     forest: set[int] = set(opt_edge_indices)
-    phi, uf = _forest_potential(forest, inst, dists)
+    phi, uf = _forest_potential(forest, inst)
     log = {"steps": [], "initial_potential": format_fraction(phi)}
     children_of = {i: list(ch) for i, ch in receipt.pair_map}
 
@@ -330,7 +328,7 @@ def augment_subdivided_solution(
                 if uf.union(u, v):
                     forest.add(ei)
         # with nothing missing the forest, hence its potential, is unchanged
-        new_phi, uf = _forest_potential(forest, inst, dists) if missing else (phi, uf)
+        new_phi, uf = _forest_potential(forest, inst) if missing else (phi, uf)
         log["steps"].append(
             {
                 "pair": i,

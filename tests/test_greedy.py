@@ -25,6 +25,8 @@ from greedysf.instances import (
     gen_girth_lower_bound,
     gen_random_instance,
     make_instance,
+    parse_instance,
+    serialize_instance,
 )
 
 F = Fraction
@@ -357,10 +359,50 @@ def test_trace_parse_roundtrip():
 
 def test_pair_distances_checks_both_endpoints():
     g = WeightedGraph(3, [(0, 1, F(1)), (1, 2, F(2))])
-    assert pair_distances(make_instance(g, [(0, 2)])) == [F(3)]
+    assert pair_distances(make_instance(g, [(0, 2)])) == (F(3),)
     for pair in ((0, -1), (0, 3), (-1, 0), (3, 0)):
         with pytest.raises(InputError):
             pair_distances(make_instance(g, [pair]))
+
+
+def test_rules_share_their_pair_distance_searches(monkeypatch):
+    from greedysf import graph
+
+    inst = gen_random_instance(70, 280, 18, 0)
+    calls = []
+    search = graph._dijkstra
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "_dijkstra", counting)
+    compare_rules(inst)
+    # 54 routing searches (18 per rule) and the 13 distinct sources' searches
+    # once: the rules read one set of pair distances
+    assert len({p.s for p in inst.pairs}) == 13
+    assert len(calls) == 67
+
+
+def test_pair_distance_cache_is_invisible():
+    inst = gen_random_instance(12, 20, 4, 3)
+    text = serialize_instance(inst)
+    run_greedy(inst, Rule.RULE3)
+    twin = parse_instance(text)
+    assert inst._pair_distances is not None and twin._pair_distances is None
+    assert inst == twin and hash(inst) == hash(twin)
+    assert repr(inst) == repr(twin)
+    assert serialize_instance(inst) == text == serialize_instance(twin)
+    assert inst.digest() == twin.digest()
+    assert type(inst._pair_distances) is tuple
+    assert pair_distances(inst) is inst._pair_distances
+    assert pair_distances(twin) == pair_distances(inst)
+    # a bad vertex raises on every call and leaves nothing cached
+    bad = make_instance(inst.graph, [(0, inst.graph.n)])
+    for _ in range(2):
+        with pytest.raises(InputError):
+            pair_distances(bad)
+        assert bad._pair_distances is None
 
 
 def test_target_search_stops_at_the_mates(monkeypatch):
@@ -377,5 +419,5 @@ def test_target_search_stops_at_the_mates(monkeypatch):
         return out
 
     monkeypatch.setattr(graph, "_dijkstra", recording)
-    assert pair_distances(inst) == [F(1)]
+    assert pair_distances(inst) == (F(1),)
     assert len(settled) == 1 and settled[0] <= 2

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from greedysf.errors import CapExceededError, InputError
 from greedysf.graph import WeightedGraph, open_ball, subdivide_edges, default_eta
-from greedysf.greedy import Rule, run_greedy
+from greedysf.greedy import Rule, pair_distances, run_greedy
 from greedysf.instances import (
     MateMap,
     gen_girth_lower_bound,
@@ -375,6 +375,9 @@ def test_weight_scaling_scales_costs_and_keeps_choices(seed):
             assert tc.contraction == t.contraction
             assert tc.costs == [x * c for x in t.costs]
             assert tc.total_cost == t.total_cost * c
+        assert pair_distances(scaled) == tuple(
+            None if d is None else d * c for d in pair_distances(inst)
+        )
         forest_c, tstar_c = exact_optima(scaled)
         assert forest_c.edge_indices == forest.edge_indices
         assert forest_c.edges == forest.edges

@@ -467,6 +467,8 @@ def test_augment_computes_pair_distances_once(monkeypatch):
     trace = run_greedy(inst, Rule.RULE3)
     split, receipt = subdivide_pairs_rule3(inst, trace)
     opt = steiner_forest_exact(inst)
+    fresh = gen_girth_lower_bound("petersen")
+    assert fresh == inst
     calls = []
     search = graph._dijkstra
 
@@ -475,14 +477,21 @@ def test_augment_computes_pair_distances_once(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(graph, "_dijkstra", counting)
+    # an equal instance the run never saw has no distances of its own yet:
+    # one search per distinct pair source, plus one path per sub-pair added;
+    # the potential after each of the k arrivals reuses the same distances
     forest, log = augment_subdivided_solution(
-        opt.edge_indices, inst, trace, split, receipt
+        opt.edge_indices, fresh, trace, split, receipt
     )
     added = sum(len(step["added_for"]) for step in log["steps"])
-    # one run per distinct pair source, plus one path per sub-pair added; the
-    # potential after each of the k arrivals reuses the same distances
     assert len(calls) == len({p.s for p in inst.pairs}) + added
     assert len(calls) < 15
+    # the instance the run used already holds its distances: only the paths
+    calls.clear()
+    assert augment_subdivided_solution(
+        opt.edge_indices, inst, trace, split, receipt
+    ) == (forest, log)
+    assert len(calls) == added
 
 
 @pytest.mark.parametrize("cage", ["petersen", "heawood"])
