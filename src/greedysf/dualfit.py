@@ -252,20 +252,21 @@ def moore_bound_audit(g: WeightedGraph) -> MooreReport:
 
     The premise is evaluated in exact integer arithmetic as
     m^p >= 2^p * n^(p+1); the report lists every p that fired and the first
-    violated one, if any.
+    violated one, if any.  The girth is computed once, and only if some
+    premise fired.
     """
     n, m = g.n, len(g.edges)
-    value = girth(g)
     checks = []
-    violated = None
     if n >= 1:
         p_limit = max(1, (n - 1).bit_length()) if n > 1 else 1
         for p in range(1, p_limit + 1):
             fired = m**p >= 2**p * n ** (p + 1)
-            ok = (not fired) or (value is not None and value <= 2 * p)
             checks.append((p, fired, 2 * p if fired else None))
-            if not ok and violated is None:
-                violated = p
+    fired_ps = [p for p, fired, _ in checks if fired]
+    violated = None
+    if fired_ps:
+        value = girth(g)
+        violated = next((p for p in fired_ps if value is None or value > 2 * p), None)
     return MooreReport(
         consistent=violated is None, violated_p=violated, checks=tuple(checks)
     )

@@ -65,6 +65,14 @@ class WeightedGraph:
             self._metric = Metric(self.n, self.edges, ())
         return self._metric
 
+    def _bounded_search(self, center: int, radius: Fraction) -> tuple[int, int, dict[int, int]]:
+        """(scale, bound, dist) of one search from center bounded at radius:
+        `dist` maps each vertex within radius to its distance times the
+        metric's scale, and bound is floor(radius * scale)."""
+        metric = self.metric
+        bound = radius.numerator * metric.scale // radius.denominator
+        return metric.scale, bound, _dijkstra(metric.n, metric.adj, center, bound=bound)
+
     def check_vertex(self, v: int):
         if not (0 <= v < self.n):
             raise InputError(f"invalid vertex id {v} (n={self.n})")
@@ -246,7 +254,11 @@ class Distances:
     hold a vertex beyond the run raises.  Every ball-side question is
     answered by cross-multiplication without building a Fraction per vertex.
     One run answers every radius up to the one it was run to: the open ball,
-    the zero-border cut, and the side of any vertex.
+    the zero-border cut, and the side of any vertex.  On a `SubdividedGraph`
+    a base-vertex center runs on the base graph and builds neither the
+    subdivision's edges nor its metric; `dist` holds the same vertices and
+    integers as the search on the built subdivision would.  Of the answers,
+    only the zero-border cut reads the subdivision's edges.
     """
 
     __slots__ = ("graph", "center", "dist", "scale", "bound")
@@ -256,12 +268,9 @@ class Distances:
         radius = Fraction(radius)
         if radius < 0:
             raise InputError("ball radius must be nonnegative")
-        metric = g.metric
         self.graph = g
         self.center = center
-        self.scale = metric.scale
-        self.bound = radius.numerator * self.scale // radius.denominator
-        self.dist = _dijkstra(metric.n, metric.adj, center, bound=self.bound)
+        self.scale, self.bound, self.dist = g._bounded_search(center, radius)
 
     def _rhs(self, radius: Fraction) -> int:
         """radius.numerator * scale; raises if radius is negative or the run
@@ -384,21 +393,106 @@ class UnionFind:
 SUBDIVISION_EDGE_LIMIT = 2_000_000
 
 
-def subdivide_edges(g: WeightedGraph, eta: Fraction) -> tuple[WeightedGraph, dict[int, int]]:
+class SubdividedGraph(WeightedGraph):
+    """The eta-subdivision of `base`, implicit until its edges are read.
+
+    The positive base edge e = (u, v, k * eta) becomes the chain u, p_1, ...,
+    p_{k-1}, v of weight-eta edges, where chain point p_j has id
+    base.n + offsets[e] + j - 1; zero-weight edges stay as they are.  So `n`
+    is known up front, while `edges`, and with them `metric`, are built on
+    first read.  A ball search from a base vertex never reads them: it runs
+    on the base graph and places the chain points arithmetically.
+    """
+
+    __slots__ = ("base", "eta", "offsets", "_edges", "_scale")
+
+    def __init__(self, base: WeightedGraph, eta: Fraction, offsets: tuple[int, ...]):
+        self.base = base
+        self.eta = eta
+        self.offsets = offsets  # offsets[e]: chain points of the edges before e
+        self.n = base.n + offsets[-1]
+        self._edges = None
+        self._metric = None
+        # the scale of the subdivision's metric, whose weights are eta and 0
+        self._scale = eta.denominator if any(w for _, _, w in base.edges) else 1
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            eta, offsets, first = self.eta, self.offsets, self.base.n
+            edges: list[Edge] = []
+            for ei, (u, v, w) in enumerate(self.base.edges):
+                if w == 0:
+                    edges.append((u, v, w))
+                    continue
+                prev = u
+                for point in range(first + offsets[ei], first + offsets[ei + 1]):
+                    edges.append((prev, point, eta))
+                    prev = point
+                edges.append((prev, v, eta))
+            self._edges = tuple(edges)
+        return self._edges
+
+    def _bounded_search(self, center: int, radius: Fraction) -> tuple[int, int, dict[int, int]]:
+        """As for any graph; from a base vertex by one search on the base.
+
+        Chain point j of the base edge (a, b, k * eta) lies at distance
+        min(d(a) + j * eta, d(b) + (k - j) * eta) from the center, since every
+        path to it enters its chain at a or at b.
+        """
+        base = self.base
+        if center >= base.n:
+            return super()._bounded_search(center, radius)
+        scale = self._scale
+        bound = radius.numerator * scale // radius.denominator
+        step = self.eta.numerator * scale // self.eta.denominator
+        metric = base.metric
+        near = _dijkstra(
+            base.n, metric.adj, center,
+            bound=radius.numerator * metric.scale // radius.denominator,
+        )
+        # every base distance is a multiple of eta, so whole at this scale
+        dist = {u: d * scale // metric.scale for u, d in near.items()}
+        edges, offsets, first = base.edges, self.offsets, base.n
+        for u in near:
+            for v, _, ei in metric.adj[u]:
+                lo, hi = offsets[ei], offsets[ei + 1]
+                # each edge once: from its one settled end, or the lesser of two
+                if lo == hi or (v in near and v < u):
+                    continue
+                a, b, _ = edges[ei]
+                da, db = dist.get(a), dist.get(b)
+                k = hi - lo + 1
+                point = first + lo - 1  # point + j is chain point j
+                # points j <= ja lie within the bound from a, points j >= jb from b
+                ja = 0 if da is None else min(k - 1, (bound - da) // step)
+                jb = k if db is None else max(1, k - (bound - db) // step)
+                for j in range(1, ja + 1):
+                    d = da + j * step
+                    dist[point + j] = d if db is None else min(d, db + (k - j) * step)
+                for j in range(max(jb, ja + 1), k):
+                    dist[point + j] = db + (k - j) * step
+        return scale, bound, dist
+
+
+def subdivide_edges(g: WeightedGraph, eta: Fraction) -> tuple[SubdividedGraph, dict[int, int]]:
     """Replace every positive edge by a chain of weight-eta edges.
 
     Every positive weight must be an integer multiple of eta; zero-weight
     edges are kept intact.  Original vertices keep their ids, so the returned
     map is the identity on them; all pairwise distances among original
-    vertices are preserved exactly.
+    vertices are preserved exactly.  The result is a `SubdividedGraph`:
+    its vertex count is computed here, its edges only when first read.
     """
     eta = Fraction(eta)
     if eta <= 0:
         raise InputError("eta must be positive")
     segment_total = 0
+    offsets = [0]
     for u, v, w in g.edges:
         if w == 0:
             segment_total += 1
+            offsets.append(offsets[-1])
             continue
         ratio = w / eta
         if ratio.denominator != 1:
@@ -411,20 +505,8 @@ def subdivide_edges(g: WeightedGraph, eta: Fraction) -> tuple[WeightedGraph, dic
                 f"subdivision at eta={eta} would create more than "
                 f"{SUBDIVISION_EDGE_LIMIT} edges; pass a coarser eta"
             )
-    edges: list[Edge] = []
-    next_id = g.n
-    for u, v, w in g.edges:
-        if w == 0:
-            edges.append((u, v, w))
-            continue
-        k = (w / eta).numerator
-        prev = u
-        for _ in range(1, k):
-            edges.append((prev, next_id, eta))
-            prev = next_id
-            next_id += 1
-        edges.append((prev, v, eta))
-    return WeightedGraph(next_id, edges), {v: v for v in range(g.n)}
+        offsets.append(offsets[-1] + ratio.numerator - 1)
+    return SubdividedGraph(g, eta, tuple(offsets)), {v: v for v in range(g.n)}
 
 
 def default_eta(g: WeightedGraph) -> Fraction:

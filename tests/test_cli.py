@@ -795,6 +795,28 @@ def test_certificate_refused_by_kinds_that_build(tmp_path, capsys, kind):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("kind", ["class-duals", "dual-lb"])
+def test_certify_builds_no_metric_of_the_subdivision(tmp_path, monkeypatch, kind):
+    from greedysf import graph
+
+    # Petersen's chords weigh 5/2, so its 1/2-subdivision has chain points
+    inst = tmp_path / "pet.json"
+    run_cli("generate", *PETERSEN, "--out", inst)
+    g = parse_instance(inst.read_text()).graph
+    sub_n = graph.subdivide_edges(g, graph.default_eta(g))[0].n
+    assert sub_n > g.n
+    built, init = [], graph.Metric.__init__
+
+    def counting(self, n, edges, later):
+        built.append(n)
+        init(self, n, edges, later)
+
+    monkeypatch.setattr(graph.Metric, "__init__", counting)
+    assert run_cli("certify", "--kind", kind, "--instance", inst) == 0
+    # the base graph's metric serves every ball; the subdivision's is never built
+    assert g.n in built and sub_n not in built
+
+
 def _run_row(capsys, inst):
     capsys.readouterr()
     assert run_cli("run", "--instance", inst, "--rule", "3") == 0

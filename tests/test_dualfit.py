@@ -179,13 +179,40 @@ def test_moore_bound_cases():
     assert not any(fired for _, fired, _ in rep.checks)
 
 
+def complete_graph(n):
+    return WeightedGraph(n, [(u, v, F(1)) for u in range(n) for v in range(u + 1, n)])
+
+
 def test_moore_premise_fires_on_dense_graph():
-    # complete graph on 8 vertices: 28 edges >= 2*8^(1+1/3) = 32? no; use p where it fires
-    n = 6
-    edges = [(u, v, F(1)) for u in range(n) for v in range(u + 1, n)]
-    g = WeightedGraph(n, edges)  # 15 edges; p=3: 2*6^(4/3) ~ 21.8, p=5: 2*6^(6/5) ~ 17.1
-    rep = moore_bound_audit(g)
+    # K16: 120^p >= 2^p * 16^(p+1) holds at p = 3 and 4, not at p = 1 or 2
+    rep = moore_bound_audit(complete_graph(16))
+    assert [p for p, fired, _ in rep.checks if fired] == [3, 4]
     assert rep.consistent  # girth 3 <= any fired 2p
+
+
+def test_moore_audit_computes_girth_once_and_only_when_a_premise_fires(monkeypatch):
+    from greedysf import dualfit
+
+    calls = []
+    real = dualfit.girth
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(dualfit, "girth", counting)
+    # a sparse auxiliary graph, as every class-dual entry of the corpus has
+    sparse = AuxiliaryGraph(centers=(0, 1, 2, 3), edges=((0, 1), (1, 2), (2, 3)))
+    rep = moore_bound_audit(sparse.skeleton())
+    assert rep.consistent and not any(fired for _, fired, _ in rep.checks)
+    assert calls == []
+    # K16 fires its premise at p = 3 and 4; one girth serves both
+    rep = moore_bound_audit(complete_graph(16))
+    assert rep.consistent and calls == [16]
+    # negative control: a girth above the first fired cap 6 fails there
+    monkeypatch.setattr(dualfit, "girth", lambda g: 7)
+    rep = moore_bound_audit(complete_graph(16))
+    assert not rep.consistent and rep.violated_p == 3
 
 
 def test_girth_corpus_audits():

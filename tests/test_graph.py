@@ -146,7 +146,7 @@ def test_distances_side_examples():
 
 
 @st.composite
-def rational_graphs(draw, max_n=8):
+def rational_graphs(draw, max_n=8, max_num=12, max_den=6):
     """Graphs with weights a/b, zero weights and parallel edges included.
 
     Sparse draws leave some vertices unreachable from any given center.
@@ -154,7 +154,7 @@ def rational_graphs(draw, max_n=8):
     n = draw(st.integers(2, max_n))
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(all_pairs), max_size=2 * n))
-    weight = st.builds(F, st.integers(0, 12), st.integers(1, 6))
+    weight = st.builds(F, st.integers(0, max_num), st.integers(1, max_den))
     return WeightedGraph(n, [(u, v, draw(weight)) for u, v in chosen])
 
 
@@ -365,6 +365,60 @@ def test_subdivide_preserves_distances(g):
         subdivided = distances_from(sub, s)
         for v in range(g.n):
             assert original[v] == subdivided[v]
+
+
+def eager_subdivision(g, eta):
+    """The eta-subdivision with every chain built up front, chain by chain."""
+    edges, next_id = [], g.n
+    for u, v, w in g.edges:
+        if w == 0:
+            edges.append((u, v, w))
+            continue
+        prev = u
+        for _ in range(1, (w / eta).numerator):
+            edges.append((prev, next_id, eta))
+            prev = next_id
+            next_id += 1
+        edges.append((prev, v, eta))
+    return WeightedGraph(next_id, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_graphs(max_n=6, max_num=6, max_den=4), st.sampled_from([1, 2, 3]), st.data())
+def test_implicit_subdivision_matches_materialized(g, divisor, data):
+    # a proper divisor of the default eta puts the subdivision's metric on
+    # another scale than the base graph's
+    eta = default_eta(g) / divisor
+    lazy, vmap = subdivide_edges(g, eta)
+    assert vmap == {v: v for v in range(g.n)}
+    built, _ = subdivide_edges(g, eta)
+    eager = eager_subdivision(g, eta)
+    assert (built.n, built.edges) == (eager.n, eager.edges)
+    assert built == eager and hash(built) == hash(eager)
+    plain = WeightedGraph(eager.n, eager.edges)
+    for center in range(g.n):
+        reference = distances_from(plain, center)
+        on_chains = sorted({d for d in reference[g.n :] if d is not None})
+        reached = sorted({d for d in reference if d is not None})
+        # a chain point's distance, past every vertex, or any
+        R = data.draw(
+            st.sampled_from([reached[-1] + eta, *on_chains])
+            | st.builds(F, st.integers(0, 40), st.integers(1, 7))
+        )
+        implicit, materialized = Distances(lazy, center, R), Distances(plain, center, R)
+        assert implicit.dist == materialized.dist
+        assert (implicit.scale, implicit.bound) == (materialized.scale, materialized.bound)
+        radii = {F(0), R, *data.draw(st.lists(st.sampled_from(on_chains or [R]), max_size=4))}
+        radii = {r for r in radii if r <= R}
+        radii |= {(a + b) / 2 for a, b in zip(sorted(radii), sorted(radii)[1:])}
+        probes = sorted(set(materialized.dist) | set(range(g.n)) | {plain.n - 1})
+        for r in radii:
+            assert implicit.ball(r) == materialized.ball(r)
+            assert [implicit.side(v, r) for v in probes] == [
+                materialized.side(v, r) for v in probes
+            ]
+    # every answer came from the base graph: the subdivision stayed implicit
+    assert lazy._edges is None and lazy._metric is None
 
 
 def test_induced_zero_border_degenerate_radius():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from greedysf.errors import CapExceededError, InputError
 from greedysf.graph import WeightedGraph, open_ball, subdivide_edges, default_eta
-from greedysf.greedy import Rule, pair_distances, run_greedy
+from greedysf.dualfit import build_class_duals
+from greedysf.greedy import Rule, equal_cost_classes, pair_distances, run_greedy
 from greedysf.instances import (
     MateMap,
     gen_girth_lower_bound,
@@ -344,12 +345,27 @@ def _scaled(inst, c):
     )
 
 
+def _class_duals(inst):
+    """(cost, collection, auxiliary graph) of every class of the rule-3 run,
+    built on the instance's default-eta subdivision."""
+    trace = run_greedy(inst, Rule.RULE3)
+    sub = make_instance(
+        subdivide_edges(inst.graph, default_eta(inst.graph))[0],
+        [(p.s, p.t) for p in inst.pairs],
+    )
+    return [
+        (cost, *build_class_duals(trace, sub, pair_ids))
+        for cost, pair_ids in equal_cost_classes(trace)
+    ]
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_weight_scaling_scales_costs_and_keeps_choices(seed):
     # rational weights with zeros and ties, and reveals, on 9 vertices; the
-    # runs and the optimum compare weights only, so scaling by c > 0 changes
-    # what they choose nowhere and multiplies what they cost by c
+    # runs, the optimum and the class duals compare weights only, so scaling
+    # by c > 0 changes what they choose nowhere and multiplies what they cost
+    # (and the dual radii) by c
     base = gen_random_instance(9, 14, 4, seed)
     rng = random.Random(seed)
 
@@ -366,8 +382,18 @@ def test_weight_scaling_scales_costs_and_keeps_choices(seed):
         ],
     )
     forest, tstar = exact_optima(inst)
+    classes = _class_duals(inst)
     for c in (F(7, 3), F(1, 1000), F(97)):
         scaled = _scaled(inst, c)
+        # eta scales with c, so the subdivisions number their chains alike
+        # and the class duals place the same balls at c times the radius
+        assert [
+            (cost, coll.balls, coll.skipped, aux.edges, coll.radius)
+            for cost, coll, aux in _class_duals(scaled)
+        ] == [
+            (cost * c, coll.balls, coll.skipped, aux.edges, coll.radius * c)
+            for cost, coll, aux in classes
+        ]
         for rule in (Rule.RULE1, Rule.RULE2, Rule.RULE3):
             t, tc = run_greedy(inst, rule), run_greedy(scaled, rule)
             assert tc.paths == t.paths

@@ -300,3 +300,17 @@ def test_one_adjacency():
         for site in _per_vertex_list_sites(_tree(path), path.stem)
     ]
     assert sites == ["graph.Metric.__init__"]
+
+
+# the fields of a `graph.SubdividedGraph` that place its chain points
+SUBDIVISION_FIELDS = {"base", "eta", "offsets"}
+
+
+def _reads_a_subdivision_field(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in SUBDIVISION_FIELDS
+
+
+def test_chain_points_stay_in_the_distance_layer():
+    # only graph turns a base edge and a chain index into a vertex id or a
+    # distance; every other module asks `Distances` or reads `edges`
+    assert _modules_using(_reads_a_subdivision_field) == {"graph"}
