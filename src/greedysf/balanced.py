@@ -197,7 +197,6 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
     statuses = {i: PairStatus.UNCLASSIFIED for i in range(trace.k)}
     balls: list[DualBall] = []
     ball_members: list[frozenset[int]] = []
-    dangerous: set[int] = set()
     log: list[dict] = []
     grow_cap = 60 * L * lg_plus(L)
 
@@ -315,7 +314,6 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
                             f"{owner} tried to defer it"
                         )
                     statuses[q] = PairStatus.DANGEROUS
-                    dangerous.add(q)
                 statuses[owner] = PairStatus.SURVIVING
                 final = current
                 log_event(
@@ -341,7 +339,7 @@ def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
     return BalancedDual(
         balls=balls,
         charges=charges,
-        dangerous=dangerous,
+        dangerous={i for i, s in statuses.items() if s is PairStatus.DANGEROUS},
         K=K,
         statuses=statuses,
         classes=classes,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InputError
 from .exact import floor_log2, pow2
@@ -13,19 +12,10 @@ from .instances import Instance
 
 
 @dataclass(frozen=True)
-class CanonicalParams:
-    alpha: Fraction
-    delta: int
-    anchor: Fraction  # m: class-j cost is anchor / 2**(j*(delta+10))
-    class_indices: tuple[int, ...]  # grid index per distinct cost, ascending
-
-
-@dataclass(frozen=True)
 class CanonicalReport:
     costs_on_separated_grid: bool
     low_contraction: bool
     schedule_announces_costs: bool
-    params: Optional[CanonicalParams]
     offenders: tuple[str, ...]
 
     @property
@@ -57,31 +47,18 @@ def canonical_report(
     offenders: list[str] = []
 
     grid_ok = True
-    params = None
     costs = [c for c, _ in equal_cost_classes(trace)]
     if any(c == 0 for c in trace.costs):
         grid_ok = False
         offenders.append("a pair of cost zero cannot sit on the cost grid")
-    if costs:
-        gap = delta + 10
-        top = costs[0]
-        indices = [1]
-        for c in costs[1:]:
-            ratio = top / c
-            exp = floor_log2(ratio)
-            if pow2(exp) != ratio or exp % gap != 0:
-                grid_ok = False
-                offenders.append(
-                    f"cost {c} is not separated from {top} by a power of 2^{gap}"
-                )
-            else:
-                indices.append(1 + exp // gap)
-        if grid_ok:
-            params = CanonicalParams(
-                alpha=alpha,
-                delta=delta,
-                anchor=top * pow2(gap),
-                class_indices=tuple(indices),
+    gap = delta + 10
+    for c in costs[1:]:
+        ratio = costs[0] / c
+        exp = floor_log2(ratio)
+        if pow2(exp) != ratio or exp % gap != 0:
+            grid_ok = False
+            offenders.append(
+                f"cost {c} is not separated from {costs[0]} by a power of 2^{gap}"
             )
 
     low_ok = True
@@ -112,6 +89,5 @@ def canonical_report(
         costs_on_separated_grid=grid_ok,
         low_contraction=low_ok,
         schedule_announces_costs=sched_ok,
-        params=params,
         offenders=tuple(offenders),
     )

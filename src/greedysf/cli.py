@@ -223,7 +223,7 @@ def _trace_for(args, inst: Instance):
     in every field."""
     rule = Rule.parse(args.rule)
     trace = run_greedy(inst, rule)
-    if getattr(args, "trace", None):
+    if args.trace:
         given = parse_trace(_read_text(args.trace))
         if given.rule is not rule:
             raise GreedysfError("trace file was recorded under a different rule")
@@ -374,18 +374,17 @@ def cmd_audit(args) -> int:
             )
         )
         return 0 if ok else 1
-    if args.kind == "conservation":
-        cert = _load_certificate(args.certificate)
-        steps = cert.get("step_log", []) if isinstance(cert, dict) else None
-        if not isinstance(steps, list) or not all(isinstance(e, dict) for e in steps):
-            raise ParseError("certificate needs a 'step_log' list of step objects")
-        totals = [e.get("charged_total") for e in steps]
-        if any(isinstance(t, (list, dict)) for t in totals):
-            raise ParseError("a step's 'charged_total' must be a JSON scalar")
-        ok = len(set(totals)) <= 1
-        print(json.dumps({"conserved": ok, "steps": len(totals)}))
-        return 0 if ok else 1
-    raise GreedysfError(f"unknown audit kind {args.kind}")
+    # argparse's choices leave only "conservation"
+    cert = _load_certificate(args.certificate)
+    steps = cert.get("step_log", []) if isinstance(cert, dict) else None
+    if not isinstance(steps, list) or not all(isinstance(e, dict) for e in steps):
+        raise ParseError("certificate needs a 'step_log' list of step objects")
+    totals = [e.get("charged_total") for e in steps]
+    if any(isinstance(t, (list, dict)) for t in totals):
+        raise ParseError("a step's 'charged_total' must be a JSON scalar")
+    ok = len(set(totals)) <= 1
+    print(json.dumps({"conserved": ok, "steps": len(totals)}))
+    return 0 if ok else 1
 
 
 def _bucket(contraction: str) -> str:

@@ -101,34 +101,9 @@ def run_greedy(inst: Instance, rule: Rule) -> RunTrace:
     )
 
 
-def pair_distances(inst: Instance) -> tuple[Optional[Fraction], ...]:
-    """Original-graph distance of every pair, None where disconnected.
-
-    One search per distinct source, stopped once that source's mates are
-    settled.  The distances are computed once per instance and kept on it,
-    as the graph keeps its metric; every later call returns the same tuple.
-    """
-    if inst._pair_distances is not None:
-        return inst._pair_distances
-    g = inst.graph
-    mates: dict[int, set[int]] = {}
-    for pair in inst.pairs:
-        g.check_vertex(pair.s)
-        g.check_vertex(pair.t)
-        mates.setdefault(pair.s, set()).add(pair.t)
-    metric = g.metric
-    found = {s: metric.distances_to(s, ts) for s, ts in mates.items()}
-    out = tuple(
-        None if (d := found[pair.s][pair.t]) is None else Fraction(d, metric.scale)
-        for pair in inst.pairs
-    )
-    object.__setattr__(inst, "_pair_distances", out)
-    return out
-
-
 def _contractions(inst: Instance, costs) -> list[Optional[Fraction]]:
     out = []
-    for pair, cost, d in zip(inst.pairs, costs, pair_distances(inst)):
+    for pair, cost, d in zip(inst.pairs, costs, inst.pair_distances):
         if cost == 0:
             out.append(None)
         else:

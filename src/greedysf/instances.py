@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import InputError, ParseError
@@ -31,15 +32,32 @@ class Instance:
     graph: WeightedGraph
     pairs: tuple[TerminalPair, ...]
     schedule: tuple[tuple[tuple[int, int, Fraction], ...], ...]
-    # `greedy.pair_distances` fills this on first use; it is no part of the
-    # instance's value, so equality, hash, repr and digest never see it
-    _pair_distances: Optional[tuple[Optional[Fraction], ...]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     @property
     def k(self) -> int:
         return len(self.pairs)
+
+    @cached_property
+    def pair_distances(self) -> tuple[Optional[Fraction], ...]:
+        """Original-graph distance of every pair, None where disconnected.
+
+        One search per distinct source, stopped once that source's mates are
+        settled.  Computed on first read and kept, as the graph keeps its
+        metric; no field holds it, so equality, hash, repr and digest never
+        see it.
+        """
+        g = self.graph
+        mates: dict[int, set[int]] = {}
+        for pair in self.pairs:
+            g.check_vertex(pair.s)
+            g.check_vertex(pair.t)
+            mates.setdefault(pair.s, set()).add(pair.t)
+        metric = g.metric
+        found = {s: metric.distances_to(s, ts) for s, ts in mates.items()}
+        return tuple(
+            None if (d := found[pair.s][pair.t]) is None else Fraction(d, metric.scale)
+            for pair in self.pairs
+        )
 
     def terminals(self) -> frozenset[int]:
         return frozenset(v for p in self.pairs for v in (p.s, p.t))

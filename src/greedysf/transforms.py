@@ -14,13 +14,7 @@ from fractions import Fraction
 from .errors import InputError
 from .exact import floor_log2, format_fraction, pow2
 from .graph import Distances, UnionFind, shortest_path
-from .greedy import (
-    Rule,
-    RunTrace,
-    pair_distances,
-    pairs_below_contraction,
-    run_greedy,
-)
+from .greedy import Rule, RunTrace, pairs_below_contraction, run_greedy
 from .instances import Instance, make_instance
 from .balanced import DualBall, ball_neighborhood, neighborhood_reach, trace_classes
 
@@ -230,7 +224,7 @@ def _component_width(vertices: set[int], inst: Instance) -> Fraction:
     """Largest mate distance among the pairs with a terminal in `vertices`;
     0 if there is none."""
     best = Fraction(0)
-    for i, (p, d) in enumerate(zip(inst.pairs, pair_distances(inst))):
+    for i, (p, d) in enumerate(zip(inst.pairs, inst.pair_distances)):
         if p.s in vertices or p.t in vertices:
             if d is None:
                 raise InputError(f"pair {i} is disconnected in the graph")
@@ -279,7 +273,7 @@ def augment_subdivided_solution(
     """
     if receipt.kind != "subdivide_rule3":
         raise InputError("expected the receipt of a pair subdivision")
-    dists = pair_distances(inst)
+    dists = inst.pair_distances
     if any(d is None for d in dists):
         raise InputError("some pair is disconnected in the graph")
     costs = trace.costs

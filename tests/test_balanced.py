@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from greedysf.errors import InputError
-from greedysf.exact import lg_plus
+from greedysf.exact import SURVIVOR_CHARGE_CAP_UPPER, lg_plus
 from greedysf.graph import Distances, WeightedGraph
 from greedysf.greedy import Rule, run_greedy
 from greedysf.instances import gen_canonical_nested, make_instance
@@ -45,7 +45,6 @@ def test_is_canonical_on_generator_output():
     inst, trace = canonical_setup(2, 2, 200)
     report = canonical_report(inst, trace, F(1), 200)
     assert report.is_canonical
-    assert report.params.class_indices == (1, 2)
 
 
 def test_is_canonical_missing_schedule():
@@ -372,6 +371,33 @@ def test_verifier_flags_each_tampered_clause(name):
     report = verify_balanced(corrupted(bd, **tamper(bd)), trace, inst, 200)
     assert getattr(report, flag) is False and not report.all_ok
     assert any(offender in o for o in report.offenders), report.offenders
+
+
+def test_verifier_accepts_a_dangerous_interior_cost_equal_to_its_cap():
+    inst, trace, bd = _grow_and_defer_certificate()
+    ball, cls = bd.balls[0], bd.classes[0]
+    dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, bd.K))
+    nb = ball_neighborhood(inst, ball, bd.K, bd.classes, dist)
+    interior = charged_cost(trace, [q for q in nb.interior if q in bd.dangerous], bd.charges)
+    assert interior == 81 * F(198, 100)
+    # the owner charge that makes the cap 10 * charge * cost * L**10 equal it
+    at_cap = interior / (10 * cls.cost * lg_plus(bd.K) ** 10)
+    for charge, capped in ((at_cap, True), (at_cap * F(999, 1000), False)):
+        report = verify_balanced(corrupted(bd, **_charge(0, charge)(bd)), trace, inst, 200)
+        assert report.interior_cost_capped is capped
+        assert any("interior cost exceeds" in o for o in report.offenders) is not capped
+
+
+def test_verifier_accepts_a_surviving_charge_equal_to_its_cap():
+    inst, trace, bd = _grow_and_defer_certificate()
+    assert bd.statuses[0] is PairStatus.SURVIVING
+    for charge, capped in (
+        (SURVIVOR_CHARGE_CAP_UPPER, True),
+        (SURVIVOR_CHARGE_CAP_UPPER + F(1, 10**9), False),
+    ):
+        report = verify_balanced(corrupted(bd, **_charge(0, charge)(bd)), trace, inst, 200)
+        # conservation fails either way; only the cap's own offender may differ
+        assert any("exceeds 55*e^5" in o for o in report.offenders) is not capped
 
 
 def test_verifier_flags_an_unclassified_pair():

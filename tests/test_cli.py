@@ -12,7 +12,7 @@ from greedysf import opt
 from greedysf.cli import main
 from greedysf.exact import format_fraction
 from greedysf.graph import WeightedGraph
-from greedysf.greedy import Rule, pair_distances, run_greedy
+from greedysf.greedy import Rule, run_greedy
 from greedysf.instances import (
     gen_random_instance,
     make_instance,
@@ -932,7 +932,7 @@ def test_potential_audit_adds_each_sub_pair_once(tmp_path, capsys):
     base = gen_random_instance(8, 12, 4, 190)
     assert sorted((p.s, p.t) for p in base.pairs) == [(0, 2), (4, 5), (5, 7), (6, 7)]
     inst = make_instance(base.graph, [(0, 2), (6, 7), (5, 7), (4, 5)])
-    assert pair_distances(inst) == (70, 68, 60, 51)
+    assert inst.pair_distances == (70, 68, 60, 51)
     path = tmp_path / "inst.json"
     path.write_text(serialize_instance(inst))
     capsys.readouterr()

@@ -152,6 +152,30 @@ def test_verifier_flags_each_tampered_field(name):
     assert any(offender in o for o in report.offenders), report.offenders
 
 
+def test_verifier_accepts_skipped_pairs_at_the_five_to_one_boundary():
+    inst = blocking_instance()
+    trace = run_greedy(inst, Rule.RULE3)
+    coll, aux = build_class_duals(trace, inst, [0, 1, 2])
+    # two balls admit |P'| = 5 * 2 = 10 exactly; one more is the tamper above
+    coll = replace(coll, skipped=(2,) * 8)
+    assert coll.subset_size == 5 * len(coll.balls)
+    report = verify_class_duals(coll, aux, trace, inst, class_size=3)
+    assert report.skipped_fraction_ok
+    assert not any("exceeds 5*|balls|" in o for o in report.offenders)
+
+
+def test_verifier_names_only_the_pair_with_two_balls():
+    inst = blocking_instance()
+    trace = run_greedy(inst, Rule.RULE3)
+    coll, aux = build_class_duals(trace, inst, [0, 1, 2])
+    assert [p for _, p in coll.balls] == [0, 1]
+    coll = replace(coll, balls=coll.balls + (coll.balls[1],))
+    report = verify_class_duals(coll, aux, trace, inst, class_size=3)
+    assert not report.one_ball_per_pair
+    dup = [o for o in report.offenders if o.startswith("pairs with more than one ball")]
+    assert dup == ["pairs with more than one ball: [1]"]
+
+
 def test_builder_validates_inputs():
     g = WeightedGraph(4, [(0, 1, F(8)), (2, 3, F(4))])
     inst = make_instance(g, [(0, 1), (2, 3)])

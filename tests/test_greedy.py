@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -11,7 +12,6 @@ from greedysf.greedy import (
     apply_contraction_rule,
     compare_rules,
     equal_cost_classes,
-    pair_distances,
     pairs_below_contraction,
     run_greedy,
     serialize_trace,
@@ -135,7 +135,7 @@ def _trace_with_costs(costs):
 def test_partition_canonical_spacing():
     inst = gen_canonical_nested(3, 2, delta=20, seed=1)
     trace = run_greedy(inst, Rule.RULE3)
-    assert canonical_report(inst, trace, 1, 20).params.class_indices == (1, 2, 3)
+    assert canonical_report(inst, trace, 1, 20).costs_on_separated_grid
 
 
 def test_partition_errors():
@@ -359,10 +359,10 @@ def test_trace_parse_roundtrip():
 
 def test_pair_distances_checks_both_endpoints():
     g = WeightedGraph(3, [(0, 1, F(1)), (1, 2, F(2))])
-    assert pair_distances(make_instance(g, [(0, 2)])) == (F(3),)
+    assert make_instance(g, [(0, 2)]).pair_distances == (F(3),)
     for pair in ((0, -1), (0, 3), (-1, 0), (3, 0)):
         with pytest.raises(InputError):
-            pair_distances(make_instance(g, [pair]))
+            make_instance(g, [pair]).pair_distances
 
 
 def test_rules_share_their_pair_distance_searches(monkeypatch):
@@ -389,20 +389,21 @@ def test_pair_distance_cache_is_invisible():
     text = serialize_instance(inst)
     run_greedy(inst, Rule.RULE3)
     twin = parse_instance(text)
-    assert inst._pair_distances is not None and twin._pair_distances is None
+    assert "pair_distances" in vars(inst) and "pair_distances" not in vars(twin)
+    assert "pair_distances" not in vars(dataclasses.replace(inst))
     assert inst == twin and hash(inst) == hash(twin)
     assert repr(inst) == repr(twin)
     assert serialize_instance(inst) == text == serialize_instance(twin)
     assert inst.digest() == twin.digest()
-    assert type(inst._pair_distances) is tuple
-    assert pair_distances(inst) is inst._pair_distances
-    assert pair_distances(twin) == pair_distances(inst)
-    # a bad vertex raises on every call and leaves nothing cached
+    assert type(inst.pair_distances) is tuple
+    assert inst.pair_distances is inst.pair_distances
+    assert twin.pair_distances == inst.pair_distances
+    # a bad vertex raises on every read and leaves nothing cached
     bad = make_instance(inst.graph, [(0, inst.graph.n)])
     for _ in range(2):
         with pytest.raises(InputError):
-            pair_distances(bad)
-        assert bad._pair_distances is None
+            bad.pair_distances
+        assert "pair_distances" not in vars(bad)
 
 
 def test_target_search_stops_at_the_mates(monkeypatch):
@@ -419,5 +420,5 @@ def test_target_search_stops_at_the_mates(monkeypatch):
         return out
 
     monkeypatch.setattr(graph, "_dijkstra", recording)
-    assert pair_distances(inst) == (F(1),)
+    assert inst.pair_distances == (F(1),)
     assert len(settled) == 1 and settled[0] <= 2

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedysf.errors import CapExceededError, InputError
+from greedysf.exact import lg_plus, parse_fraction
 from greedysf.graph import WeightedGraph, open_ball, subdivide_edges, default_eta
 from greedysf.dualfit import build_class_duals
-from greedysf.greedy import Rule, equal_cost_classes, pair_distances, run_greedy
+from greedysf.greedy import Rule, equal_cost_classes, run_greedy
+from greedysf.balanced import ClassInfo, build_balanced, verify_balanced
 from greedysf.instances import (
     MateMap,
+    gen_canonical_nested,
     gen_girth_lower_bound,
     gen_random_instance,
     make_instance,
@@ -401,11 +404,53 @@ def test_weight_scaling_scales_costs_and_keeps_choices(seed):
             assert tc.contraction == t.contraction
             assert tc.costs == [x * c for x in t.costs]
             assert tc.total_cost == t.total_cost * c
-        assert pair_distances(scaled) == tuple(
-            None if d is None else d * c for d in pair_distances(inst)
+        assert scaled.pair_distances == tuple(
+            None if d is None else d * c for d in inst.pair_distances
         )
         forest_c, tstar_c = exact_optima(scaled)
         assert forest_c.edge_indices == forest.edge_indices
         assert forest_c.edges == forest.edges
         assert forest_c.weight == forest.weight * c
         assert tstar_c == (None if tstar is None else tstar * c)
+
+
+@pytest.mark.parametrize(
+    "classes,per_class,seed",
+    [
+        (m, ppc, seed)
+        for m, ppc in ((1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1))
+        for seed in (0, 1, 2)
+    ],
+)
+def test_weight_scaling_keeps_the_balanced_dual(classes, per_class, seed):
+    # the canonical clauses and every charge transfer compare ratios of
+    # costs, so scaling by c > 0 keeps every ball, status, charge and event
+    # and multiplies the radii and the charged totals by c; K admits lg+(K)
+    # >= the class count
+    K = max(classes * per_class, 2**classes)
+    delta = 100 * (lg_plus(1) + lg_plus(lg_plus(K)))
+    inst = gen_canonical_nested(classes, per_class, delta, seed)
+    bd = build_balanced(run_greedy(inst, Rule.RULE3), inst, K, delta, 1)
+
+    def events(log):
+        return [{k: v for k, v in e.items() if k != "charged_total"} for e in log]
+
+    for c in (F(7, 3), F(1, 1000), F(97)):
+        scaled = _scaled(inst, c)
+        trace_c = run_greedy(scaled, Rule.RULE3)
+        bd_c = build_balanced(trace_c, scaled, K, delta, 1)
+        assert [(b.class_index, b.center, b.owner_pair) for b in bd_c.balls] == [
+            (b.class_index, b.center, b.owner_pair) for b in bd.balls
+        ]
+        assert [b.radius for b in bd_c.balls] == [b.radius * c for b in bd.balls]
+        assert bd_c.classes == tuple(
+            ClassInfo(cls.index, cls.cost * c, cls.pair_ids, cls.radius_full * c)
+            for cls in bd.classes
+        )
+        assert bd_c.statuses == bd.statuses and bd_c.dangerous == bd.dangerous
+        assert bd_c.charges == bd.charges
+        assert events(bd_c.step_log) == events(bd.step_log)
+        assert [parse_fraction(e["charged_total"]) for e in bd_c.step_log] == [
+            parse_fraction(e["charged_total"]) * c for e in bd.step_log
+        ]
+        assert verify_balanced(bd_c, trace_c, scaled, delta).all_ok

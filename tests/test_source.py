@@ -314,3 +314,20 @@ def test_chain_points_stay_in_the_distance_layer():
     # only graph turns a base edge and a chain index into a vertex id or a
     # distance; every other module asks `Distances` or reads `edges`
     assert _modules_using(_reads_a_subdivision_field) == {"graph"}
+
+
+def _sets_through_object(node) -> bool:
+    # `object.__setattr__(...)`: a write past a frozen class's own __setattr__
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    )
+
+
+def test_no_write_past_a_frozen_class():
+    # a value cached on an immutable object is the class's own (say a
+    # `functools.cached_property`), never written into it from outside
+    assert _modules_using(_sets_through_object) == set()
