@@ -186,13 +186,15 @@ def build_balanced(
     )
     classes = trace_classes(trace)
     _require(len(classes) <= L, f"class count {len(classes)} exceeds lg+(K)={L}")
-    return _construct(trace, inst, K)
+    return _construct(trace, inst, K, classes)
 
 
-def _construct(trace: RunTrace, inst: Instance, K: int) -> BalancedDual:
-    """The iterative class-by-class procedure, preconditions already vetted."""
+def _construct(
+    trace: RunTrace, inst: Instance, K: int, classes: tuple[ClassInfo, ...]
+) -> BalancedDual:
+    """The iterative class-by-class procedure over the trace's cost classes,
+    preconditions already vetted."""
     L = lg_plus(K)
-    classes = trace_classes(trace)
     charges = {i: Fraction(1) for i in range(trace.k)}
     statuses = {i: PairStatus.UNCLASSIFIED for i in range(trace.k)}
     balls: list[DualBall] = []

@@ -2,10 +2,12 @@
 
 Steiner trees come from the classic subset dynamic program over terminal
 masks (with a closed-form fast path on acyclic graphs, where the minimal
-connecting subtree is unique).  Steiner forests enumerate set partitions of
-the pair list and sum per-block trees, which is correct because every
-optimal forest component serves some subset of the pairs.  Size caps keep
-the Bell-number times 3^(t-1) work deliberate rather than accidental.
+connecting subtree is unique).  Steiner forests come from a depth-first
+search over the set partitions of the pair list that sums per-block trees,
+which is correct because every optimal forest component serves some subset
+of the pairs; the search keeps its first strict minimum, so its order fixes
+the edges chosen among tied optima.  Size caps keep the Bell-number times
+3^(t-1) work deliberate rather than accidental.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappush, heappop
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import CapExceededError, InputError, InternalConsistencyError
 from .exact import format_fraction
@@ -43,15 +45,9 @@ class SteinerSolution:
     edges: tuple[tuple[int, int], ...]
 
 
-def solution_to_obj(sol: SteinerSolution) -> dict:
-    return {
-        "weight": format_fraction(sol.weight),
-        "edges": [[u, v] for u, v in sol.edges],
-    }
-
-
 def serialize_solution(sol: SteinerSolution) -> str:
-    return json.dumps(solution_to_obj(sol), sort_keys=True, separators=(",", ":"))
+    obj = {"weight": format_fraction(sol.weight), "edges": [[u, v] for u, v in sol.edges]}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _is_forest(g: WeightedGraph) -> bool:
@@ -148,17 +144,14 @@ class SteinerTable:
         self.par: dict[int, list] = {0: [("base",)] * g.n}
         # weight/edges root each mask at its lowest terminal: no read mask holds bit 0
         for i, term in enumerate(terminals[1:], 1):
-            self._seed_and_walk(1 << i, self._single_seed(term))
+            seed = [None] * g.n
+            par = [None] * g.n
+            seed[term] = 0
+            par[term] = ("base",)
+            self._seed_and_walk(1 << i, seed, par)
         for mask in range(2, 1 << len(terminals), 2):
             if mask & (mask - 1):
                 self._build(mask)
-
-    def _single_seed(self, term):
-        seed = [None] * self.g.n
-        par = [None] * self.g.n
-        seed[term] = 0
-        par[term] = ("base",)
-        return seed, par
 
     def _build(self, mask):
         n = self.g.n
@@ -184,10 +177,9 @@ class SteinerTable:
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        self._seed_and_walk(mask, (seed, par))
+        self._seed_and_walk(mask, seed, par)
 
-    def _seed_and_walk(self, mask, seeded):
-        seed, par = seeded
+    def _seed_and_walk(self, mask, seed, par):
         n = self.g.n
         adj = self.g.metric.adj
         heap = [(d, v) for v, d in enumerate(seed) if d is not None]
@@ -264,30 +256,6 @@ def steiner_tree_exact(
     return _solution(g, oracle.edges(full))
 
 
-def set_partitions(items: list) -> Iterator[list[list]]:
-    """All set partitions of `items`, in a deterministic order."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    blocks: list[list] = []
-
-    def rec(i):
-        if i == len(items):
-            yield [list(b) for b in blocks]
-            return
-        x = items[i]
-        for b in blocks:
-            b.append(x)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([x])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(0)
-
-
 def exact_optima(inst: Instance) -> tuple[SteinerSolution, Optional[Fraction]]:
     """Exact minimum-weight forest connecting every pair, minimized over the
     partitions of the pair list, and the weight of its one-block partition: the
@@ -308,19 +276,26 @@ def exact_optima(inst: Instance) -> tuple[SteinerSolution, Optional[Fraction]]:
     oracle = _tree_oracle(g, terminals)
     best = None
     best_blocks = None
-    for partition in set_partitions(list(range(inst.k))):
-        masks = []
-        for block in partition:
-            m = 0
-            for i in block:
-                m |= pair_mask[i]
-            masks.append(m)
-        weights = [oracle.weight(m) for m in masks]
-        if None in weights:
-            continue
-        total = sum(weights)
-        if best is None or total < best:
-            best, best_blocks = total, masks
+    blocks: list[int] = []  # the terminal mask of each block formed so far
+
+    def search(i):
+        nonlocal best, best_blocks
+        if i == inst.k:
+            weights = [oracle.weight(m) for m in blocks]
+            if None not in weights and (best is None or sum(weights) < best):
+                best, best_blocks = sum(weights), list(blocks)
+            return
+        # pair i joins each block in creation order, then opens its own: the
+        # first strict minimum in this order fixes the edges among tied optima
+        for j, m in enumerate(blocks):
+            blocks[j] = m | pair_mask[i]
+            search(i + 1)
+            blocks[j] = m
+        blocks.append(pair_mask[i])
+        search(i + 1)
+        blocks.pop()
+
+    search(0)
     if best is None:
         raise InputError("some pair is disconnected in the graph")
     edge_idx = set().union(*(oracle.edges(m) for m in best_blocks))

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from greedysf.errors import InputError
 from greedysf.exact import SURVIVOR_CHARGE_CAP_UPPER, lg_plus
 from greedysf.graph import Distances, WeightedGraph
+from greedysf import greedy
 from greedysf.greedy import Rule, run_greedy
 from greedysf.instances import gen_canonical_nested, make_instance
 from greedysf.canonical import canonical_report
@@ -190,6 +192,27 @@ def test_build_balanced_absorbs_planted_pairs():
     assert all(bd.charges[i] == 0 for i in charged)
 
 
+def test_build_balanced_groups_the_costs_twice(monkeypatch):
+    # once for the canonical report, once for the classes that both the
+    # class-count precondition and the construction read
+    original = greedy.equal_cost_classes
+    calls = []
+
+    def counted(trace):
+        calls.append(trace)
+        return original(trace)
+
+    # each module binds the function by name at import, so patch every binding
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("greedysf") and (
+            getattr(module, "equal_cost_classes", None) is original
+        ):
+            monkeypatch.setattr(module, "equal_cost_classes", counted)
+    inst, trace = canonical_setup(2, 2, 200)
+    build_balanced(trace, inst, K=2 * 2, delta=200, alpha=1)
+    assert len(calls) == 2
+
+
 def test_build_balanced_rejects_bad_parameters():
     inst, trace = canonical_setup(1, 2, 200)
     with pytest.raises(InputError):
@@ -241,7 +264,7 @@ def test_construct_delete_and_recharge_branch():
     inst = star_instance(16, [(F(198, 100), F(198, 100), None)] * 41)
     trace = run_greedy(inst, Rule.RULE3)
     assert trace.costs[1:] == [F(396, 100)] * 41
-    bd = _construct(trace, inst, K=2)
+    bd = _construct(trace, inst, K=2, classes=trace_classes(trace))
     assert bd.statuses[0] is PairStatus.CHARGED
     assert bd.charges[0] == 0
     assert all(b.owner_pair != 0 for b in bd.balls)
@@ -271,7 +294,7 @@ def _grow_and_defer_certificate():
     border = [(F(1), F(1), F(198, 100))] * 68
     inst = star_instance(16, deep + border)
     trace = run_greedy(inst, Rule.RULE3)
-    return inst, trace, _construct(trace, inst, K=4)
+    return inst, trace, _construct(trace, inst, K=4, classes=trace_classes(trace))
 
 
 def test_construct_grow_and_defer_branch():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,13 +20,13 @@ from greedysf.instances import (
     gen_random_instance,
     make_instance,
 )
+from greedysf import opt
 from greedysf.opt import (
     SteinerTable,
     dual_lower_bound_audit,
     exact_optima,
     opt_weight_in_ball,
     serialize_solution,
-    set_partitions,
     steiner_forest_exact,
     steiner_tree_exact,
     tree_optimum,
@@ -149,9 +150,105 @@ def test_opt_lower_bounds_greedy(rule):
         assert steiner_forest_exact(inst).weight <= trace.total_cost
 
 
+def set_partitions(items: list):
+    """All set partitions of `items`, in a deterministic order: item i joins
+    each block in creation order, then opens its own."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    blocks: list[list] = []
+
+    def rec(i):
+        if i == len(items):
+            yield [list(b) for b in blocks]
+            return
+        x = items[i]
+        for b in blocks:
+            b.append(x)
+            yield from rec(i + 1)
+            b.pop()
+        blocks.append([x])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    yield from rec(0)
+
+
 def test_set_partitions_count():
     assert sum(1 for _ in set_partitions(list(range(5)))) == 52  # Bell(5)
     assert list(set_partitions([])) == [[]]
+
+
+def enumerated_optima(inst):
+    """(block masks, edge indices, weight, T*) of the first strict minimum over
+    `set_partitions` of the pairs, each block scored by the tree oracle that
+    `exact_optima` builds over the same terminals."""
+    g = inst.graph
+    terminals = tuple(sorted(inst.terminals()))
+    pos = {t: i for i, t in enumerate(terminals)}
+    pair_mask = [(1 << pos[p.s]) | (1 << pos[p.t]) for p in inst.pairs]
+    oracle = opt._tree_oracle(g, terminals)
+    best = best_blocks = None
+    for partition in set_partitions(range(inst.k)):
+        masks = []
+        for block in partition:
+            m = 0
+            for i in block:
+                m |= pair_mask[i]
+            masks.append(m)
+        weights = [oracle.weight(m) for m in masks]
+        if None not in weights and (best is None or sum(weights) < best):
+            best, best_blocks = sum(weights), masks
+    if best is None:
+        raise InputError("some pair is disconnected in the graph")
+    edges = tuple(sorted(set().union(*(oracle.edges(m) for m in best_blocks))))
+    tree = oracle.weight((1 << len(terminals)) - 1)
+    scale = g.metric.scale
+    return best_blocks, edges, F(best, scale), None if tree is None else F(tree, scale)
+
+
+@st.composite
+def small_forest_instances(draw):
+    """Up to 5 pairs on up to 6 vertices: sparse edges leave pairs
+    disconnected, few vertices make pairs share terminals, and weights in
+    {0, 1/2, 1} make many partitions tie."""
+    n = draw(st.integers(2, 6))
+    slots = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=9))
+    edges = [(u, v, F(draw(st.integers(0, 2)), 2)) for u, v in chosen]
+    pairs = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=5))
+    return make_instance(WeightedGraph(n, edges), pairs)
+
+
+@given(small_forest_instances())
+@settings(max_examples=300, deadline=None)
+def test_forest_search_keeps_the_first_minimum_of_set_partitions(inst):
+    """The search visits the partitions in `set_partitions`' order, so among
+    tied optima it returns the same blocks and edges as enumeration."""
+    try:
+        expected = enumerated_optima(inst)
+    except InputError:
+        with pytest.raises(InputError, match="some pair is disconnected"):
+            exact_optima(inst)
+        return
+    read = []  # the block masks whose trees exact_optima reads off the oracle
+    tree_oracle = opt._tree_oracle
+
+    def recording_oracle(g, terminals):
+        oracle = tree_oracle(g, terminals)
+        edges = oracle.edges
+
+        def recorded(mask):
+            read.append(mask)
+            return edges(mask)
+
+        oracle.edges = recorded
+        return oracle
+
+    with mock.patch.object(opt, "_tree_oracle", recording_oracle):
+        forest, tstar = exact_optima(inst)
+    assert (read, forest.edge_indices, forest.weight, tstar) == expected
 
 
 def brute_force_forest(inst):
