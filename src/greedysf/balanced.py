@@ -19,6 +19,7 @@ log is sufficient to replay that.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -81,11 +82,14 @@ class BallNeighborhood:
 class BalancedDual:
     balls: list[DualBall]
     charges: dict[int, Fraction]
-    dangerous: set[int]
     K: int
     statuses: dict[int, PairStatus]
     classes: tuple[ClassInfo, ...]
     step_log: list[dict] = field(default_factory=list)
+
+    @property
+    def dangerous(self) -> set[int]:
+        return {i for i, s in self.statuses.items() if s is PairStatus.DANGEROUS}
 
 
 def trace_classes(trace: RunTrace) -> tuple[ClassInfo, ...]:
@@ -341,7 +345,6 @@ def _construct(
     return BalancedDual(
         balls=balls,
         charges=charges,
-        dangerous={i for i, s in statuses.items() if s is PairStatus.DANGEROUS},
         K=K,
         statuses=statuses,
         classes=classes,
@@ -404,8 +407,6 @@ def verify_balanced(
     for name, table in (("charge", bd.charges), ("status", bd.statuses)):
         if set(table) != pair_ids:
             raise InputError(f"certificate needs exactly one {name} per pair 0..{trace.k - 1}")
-    if bd.dangerous != {i for i, s in bd.statuses.items() if s is PairStatus.DANGEROUS}:
-        raise InputError("certificate's dangerous pairs differ from its dangerous statuses")
     for i, b in enumerate(bd.balls):
         known = b.owner_pair in pair_ids and b.class_index in class_by_index
         if not (known and b.center in range(inst.graph.n)):
@@ -428,9 +429,10 @@ def verify_balanced(
     covered_union: set[int] = set()
     for nb in neighborhoods:
         covered_union.update(nb.members)
-    covered = bd.dangerous <= covered_union
+    dangerous = bd.dangerous
+    covered = dangerous <= covered_union
     if not covered:
-        stray = sorted(bd.dangerous - covered_union)
+        stray = sorted(dangerous - covered_union)
         offenders.append(f"dangerous pairs outside every ball neighborhood: {stray}")
     before_binding = len(offenders)
     class_of = _class_of_pair(classes)
@@ -467,10 +469,10 @@ def verify_balanced(
     for i, (b, nb) in enumerate(zip(bd.balls, neighborhoods)):
         cls = class_by_index[b.class_index]
         interior_d = charged_cost(
-            trace, [q for q in nb.interior if q in bd.dangerous], bd.charges
+            trace, [q for q in nb.interior if q in dangerous], bd.charges
         )
         border_d = charged_cost(
-            trace, [q for q in nb.border if q in bd.dangerous], bd.charges
+            trace, [q for q in nb.border if q in dangerous], bd.charges
         )
         cap_c = 10 * bd.charges[b.owner_pair] * cls.cost * L**10
         if interior_d > cap_c:
@@ -484,7 +486,7 @@ def verify_balanced(
     ball_class_of_dangerous: dict[int, int] = {}
     for b, nb in zip(bd.balls, neighborhoods):
         for q in nb.members:
-            if q in bd.dangerous:
+            if q in dangerous:
                 prev = ball_class_of_dangerous.get(q)
                 if prev is None or b.class_index < prev:
                     ball_class_of_dangerous[q] = b.class_index
@@ -606,6 +608,13 @@ def balanced_to_obj(bd: BalancedDual) -> dict:
     }
 
 
+def _pair_key(key: str) -> int:
+    """A pair index written as a JSON object key: a canonical decimal integer."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", key):
+        raise ValueError(f"pair key is not a canonical index: {key!r}")
+    return int(key)
+
+
 def obj_to_balanced(obj) -> BalancedDual:
     try:
         balls = [
@@ -617,10 +626,8 @@ def obj_to_balanced(obj) -> BalancedDual:
             )
             for i, b in enumerate(parse_list(obj["balls"], "balls"))
         ]
-        charges = {int(i): parse_fraction(c) for i, c in obj["charges"].items()}
-        statuses = {int(i): PairStatus(s) for i, s in obj["statuses"].items()}
-        if len(charges) != len(obj["charges"]) or len(statuses) != len(obj["statuses"]):
-            raise ValueError("a pair index is given twice")
+        charges = {_pair_key(i): parse_fraction(c) for i, c in obj["charges"].items()}
+        statuses = {_pair_key(i): PairStatus(s) for i, s in obj["statuses"].items()}
         classes = tuple(
             ClassInfo(
                 index=parse_int(c["index"], f"classes[{j}] index"),
@@ -633,13 +640,12 @@ def obj_to_balanced(obj) -> BalancedDual:
             )
             for j, c in enumerate(parse_list(obj["classes"], "classes"))
         )
-        return BalancedDual(
+        dangerous = {
+            parse_int(q, "dangerous pair") for q in parse_list(obj["dangerous"], "dangerous")
+        }
+        bd = BalancedDual(
             balls=balls,
             charges=charges,
-            dangerous={
-                parse_int(q, "dangerous pair")
-                for q in parse_list(obj["dangerous"], "dangerous")
-            },
             K=parse_int(obj["K"], "K"),
             statuses=statuses,
             classes=classes,
@@ -647,3 +653,7 @@ def obj_to_balanced(obj) -> BalancedDual:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed balanced dual certificate: {exc}") from exc
+    # the file lists the dangerous pairs beside their statuses; the statuses own them
+    if dangerous != bd.dangerous:
+        raise ParseError("certificate's dangerous pairs differ from its dangerous statuses")
+    return bd

@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .errors import GreedysfError, InputError, ParseError
+from .errors import CapExceededError, GreedysfError, InputError, ParseError
 from .exact import floor_log2, format_fraction, frac_decimal, parse_fraction
 from .graph import default_eta, subdivide_edges
 from .instances import (
@@ -41,7 +40,6 @@ from .greedy import (
     serialize_trace,
 )
 from .opt import (
-    CapExceededError,
     dual_lower_bound_audit,
     exact_optima,
     steiner_forest_exact,
@@ -85,6 +83,7 @@ class RunValues:
     contraction_max: Optional[Fraction]
 
 
+RULE_CELLS = [f"rule{rule.value}" for rule in Rule]
 CONTRACTION_COLUMNS = [f.name for f in fields(RunValues) if f.name.startswith("contraction_")]
 RUN_CSV_FIELDS = [
     "instance",
@@ -183,14 +182,27 @@ def cmd_run(args) -> int:
             row[name], row[f"{name}_dec"] = format_fraction(value), frac_decimal(value)
     row["verdicts"] = ";".join(verdicts)
     if args.csv:
-        new = not os.path.exists(args.csv)
-        with open(args.csv, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RUN_CSV_FIELDS, lineterminator="\n")
-            if new:
-                writer.writeheader()
-            writer.writerow(row)
+        _append_run_row(args.csv, row)
     print(json.dumps(row, sort_keys=True))
     return 0
+
+
+def _append_run_row(path: str, row: dict):
+    """Append `row` to the run CSV at `path`, writing the header first when
+    the file is missing or empty.  A file that starts with any other line is
+    refused and left as it was."""
+    try:
+        with open(path, "rb") as fh:
+            first = fh.readline()
+    except FileNotFoundError:
+        first = b""
+    if first and first.rstrip(b"\r\n") != ",".join(RUN_CSV_FIELDS).encode():
+        raise InputError(f"{path}: header does not follow the run-row schema")
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=RUN_CSV_FIELDS, lineterminator="\n")
+        if not first:
+            writer.writeheader()
+        writer.writerow(row)
 
 
 def _certify_class_duals(args, inst: Instance, trace) -> tuple[dict, bool]:
@@ -406,8 +418,15 @@ def cmd_report(args) -> int:
             try:
                 if None in r or None in r.values():
                     raise ParseError(f"expected {len(RUN_CSV_FIELDS)} cells")
-                if not re.fullmatch(r"[0-9]+", r["k"]):
+                if not re.fullmatch(r"[0-9a-f]{64}", r["instance"]):
+                    raise ParseError(f"instance is not a SHA-256 hex digest: {r['instance']!r}")
+                if r["rule"] not in RULE_CELLS:
+                    raise ParseError(f"rule is not one of {', '.join(RULE_CELLS)}: {r['rule']!r}")
+                if not re.fullmatch(r"0|[1-9][0-9]*", r["k"]):
                     raise ParseError(f"k is not an integer: {r['k']!r}")
+                ratio_dec = frac_decimal(parse_fraction(r["ratio"])) if r["ratio"] else ""
+                if r["ratio_dec"] != ratio_dec:
+                    raise ParseError(f"ratio_dec {r['ratio_dec']!r} is not the decimal of its ratio")
                 labels.extend(_bucket(r[c]) for c in CONTRACTION_COLUMNS)
             except GreedysfError as exc:
                 raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
@@ -416,7 +435,7 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ratio_rows = sorted(
-        (r for r in rows if r["ratio"] not in ("", "inf")),
+        (r for r in rows if r["ratio"] != ""),
         key=lambda r: (int(r["k"]), r["instance"], r["rule"]),
     )
     with open(out_dir / "ratio_vs_k.csv", "w", newline="", encoding="utf-8") as fh:

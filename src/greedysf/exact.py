@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import ParseError, InputError
 
-_FRACTION_RE = re.compile(r"^(0|-?[1-9][0-9]*)/([1-9][0-9]*)$")
+_FRACTION_RE = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -24,7 +24,7 @@ def parse_fraction(text: str) -> Fraction:
     """
     if not isinstance(text, str):
         raise ParseError(f"fraction must be a string, got {type(text).__name__}")
-    m = _FRACTION_RE.match(text)
+    m = _FRACTION_RE.fullmatch(text)
     if m is None:
         raise ParseError(f"not a canonical fraction string: {text!r}")
     num, den = int(m.group(1)), int(m.group(2))

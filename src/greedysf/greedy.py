@@ -43,11 +43,14 @@ class RunTrace:
     costs: list[Fraction]
     shortcuts_added: list[list[tuple[int, int]]]
     contraction: list[Optional[Fraction]]  # None encodes infinity
-    total_cost: Fraction
 
     @property
     def k(self) -> int:
         return len(self.costs)
+
+    @property
+    def total_cost(self) -> Fraction:
+        return sum(self.costs, Fraction(0))
 
 
 def apply_contraction_rule(
@@ -97,7 +100,6 @@ def run_greedy(inst: Instance, rule: Rule) -> RunTrace:
         costs=costs,
         shortcuts_added=added,
         contraction=contraction,
-        total_cost=sum(costs, Fraction(0)),
     )
 
 
@@ -201,5 +203,4 @@ def parse_trace(text: str) -> RunTrace:
         costs=costs,
         shortcuts_added=added,
         contraction=contraction,
-        total_cost=total,
     )

@@ -6,14 +6,14 @@ connecting subtree is unique).  Steiner forests come from a depth-first
 search over the set partitions of the pair list that sums per-block trees,
 which is correct because every optimal forest component serves some subset
 of the pairs; the search keeps its first strict minimum, so its order fixes
-the edges chosen among tied optima.  Size caps keep the Bell-number times
-3^(t-1) work deliberate rather than accidental.
+the edges chosen among tied optima.  Fixed caps, PAIR_CAP pairs per forest
+and (unless a caller passes its own) DEFAULT_TERMINAL_CAP terminals per tree,
+keep the Bell-number times 3^(t-1) work deliberate rather than accidental.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappush, heappop
@@ -24,18 +24,8 @@ from .exact import format_fraction
 from .graph import Distances, UnionFind, WeightedGraph, overlapping_pairs
 from .instances import Instance, MateMap
 
-DEFAULT_PAIR_CAP = 8
+PAIR_CAP = 8
 DEFAULT_TERMINAL_CAP = 12
-PAIR_CAP_ENV = "STEINER_CAP_PAIRS"
-
-
-def _pair_cap() -> int:
-    env = os.environ.get(PAIR_CAP_ENV)
-    if not env:
-        return DEFAULT_PAIR_CAP
-    if not (env.isascii() and env.isdigit()):
-        raise InputError(f"{PAIR_CAP_ENV} must be a non-negative integer, not {env!r}")
-    return int(env)
 
 
 @dataclass(frozen=True)
@@ -262,9 +252,8 @@ def exact_optima(inst: Instance) -> tuple[SteinerSolution, Optional[Fraction]]:
     optimum single tree (None if the terminals are disconnected or absent).
     Schedule edges are never used.
     """
-    cap = _pair_cap()
-    if inst.k > cap:
-        raise CapExceededError(f"{inst.k} pairs exceed the cap of {cap}")
+    if inst.k > PAIR_CAP:
+        raise CapExceededError(f"{inst.k} pairs exceed the cap of {PAIR_CAP}")
     g = inst.graph
     terminals = tuple(sorted(inst.terminals()))
     if not terminals:

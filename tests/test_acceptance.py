@@ -272,7 +272,7 @@ def test_criterion_07_balanced_duals():
     charges = dict(bd.charges)
     charges[survivor] = F(10**9)
     broken_charge = BalancedDual(
-        balls=list(bd.balls), charges=charges, dangerous=set(bd.dangerous),
+        balls=list(bd.balls), charges=charges,
         K=bd.K, statuses=dict(bd.statuses), classes=bd.classes,
     )
     report = verify_balanced(broken_charge, trace, inst, delta)
@@ -280,8 +280,7 @@ def test_criterion_07_balanced_duals():
 
     doubled = BalancedDual(
         balls=list(bd.balls) + [bd.balls[0]], charges=dict(bd.charges),
-        dangerous=set(bd.dangerous), K=bd.K, statuses=dict(bd.statuses),
-        classes=bd.classes,
+        K=bd.K, statuses=dict(bd.statuses), classes=bd.classes,
     )
     report2 = verify_balanced(doubled, trace, inst, delta)
     assert not report2.disjoint_and_covered and report2.charges_capped

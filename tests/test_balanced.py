@@ -318,7 +318,6 @@ def corrupted(bd, **changes):
     return BalancedDual(
         balls=changes.get("balls", list(bd.balls)),
         charges=changes.get("charges", dict(bd.charges)),
-        dangerous=changes.get("dangerous", set(bd.dangerous)),
         K=bd.K,
         statuses=changes.get("statuses", dict(bd.statuses)),
         classes=bd.classes,
@@ -440,7 +439,7 @@ def test_induction_audit_empty_instance():
     inst = make_instance(g, [])
     trace = run_greedy(inst, Rule.RULE3)
     bd = BalancedDual(
-        balls=[], charges={}, dangerous=set(), K=1, statuses={}, classes=()
+        balls=[], charges={}, K=1, statuses={}, classes=()
     )
     opt = steiner_forest_exact(inst)
     report = induction_bound_audit(bd, opt, inst, trace, delta=200)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from greedysf import opt
-from greedysf.cli import main
+from greedysf.cli import RUN_CSV_FIELDS, main
 from greedysf.exact import format_fraction
 from greedysf.graph import WeightedGraph
 from greedysf.greedy import Rule, run_greedy
@@ -375,13 +375,63 @@ def test_report_short_row_exits_2(tmp_path, capsys):
     assert str(csv_path) in err and "line 3" in err
 
 
-def test_run_malformed_pair_cap_env_exits_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "column,cell",
+    [
+        ("instance", "c3ce84aa"),
+        ("instance", "C" * 64),
+        ("rule", "rule9"),
+        ("rule", "3"),
+        ("k", "03"),
+        ("ratio", "abc"),
+        ("ratio", "2/2"),
+        ("ratio", "inf"),
+        ("ratio", ""),
+        ("ratio_dec", "zzz"),
+        ("ratio_dec", "1.0"),
+        ("ratio_dec", ""),
+    ],
+)
+def test_report_cell_that_does_not_parse_exits_2(tmp_path, capsys, column, cell):
+    # every cell report copies into ratio_vs_k.csv is checked first
+    csv_path = _petersen_run_csv(tmp_path)
+    header, row = csv_path.read_text().splitlines()
+    cells = row.split(",")
+    assert cells[header.split(",").index("ratio")] == "1/1"
+    cells[header.split(",").index(column)] = cell
+    csv_path.write_text(header + "\n" + ",".join(cells) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", "--runs", csv_path, "--out-dir", tmp_path / "r") == 2
+    err = assert_one_line_error(capsys)
+    assert str(csv_path) in err and "line 2" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_csv_into_an_empty_file_writes_the_header(tmp_path):
     inst = tmp_path / "pet.json"
     run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
-    monkeypatch.setenv("STEINER_CAP_PAIRS", "x")
+    csv_path = tmp_path / "runs.csv"
+    csv_path.touch()
+    assert run_cli("run", "--instance", inst, "--rule", "3", "--csv", csv_path) == 0
+    assert run_cli("run", "--instance", inst, "--rule", "1", "--csv", csv_path) == 0
+    header, *rows = csv_path.read_text().splitlines()
+    assert header == ",".join(RUN_CSV_FIELDS) and len(rows) == 2
+    assert run_cli("report", "--runs", csv_path, "--out-dir", tmp_path / "r") == 0
+
+
+@pytest.mark.parametrize(
+    "text", ["a,b\n", "a,b\n1,2\n", "\n", ",".join(reversed(RUN_CSV_FIELDS)) + "\n"]
+)
+def test_run_csv_into_a_file_with_another_header_exits_2(tmp_path, capsys, text):
+    inst = tmp_path / "pet.json"
+    run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
+    csv_path = tmp_path / "runs.csv"
+    csv_path.write_bytes(text.encode())
     capsys.readouterr()
-    assert run_cli("run", "--instance", inst, "--rule", "3") == 2
-    assert "STEINER_CAP_PAIRS" in assert_one_line_error(capsys)
+    assert run_cli("run", "--instance", inst, "--rule", "3", "--csv", csv_path) == 2
+    err = assert_one_line_error(capsys)
+    assert str(csv_path) in err and "header does not follow the run-row schema" in err
+    assert csv_path.read_bytes() == text.encode()
 
 
 def test_readme_command_block_runs(tmp_path, monkeypatch):
@@ -395,12 +445,11 @@ def test_readme_command_block_runs(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0, " ".join(argv)
 
 
-def test_run_experiments_reproduces_tracked_results(tmp_path, monkeypatch):
+def test_run_experiments_reproduces_tracked_results(tmp_path):
     # the script writes results/ beside its own scripts/ directory, so run a copy
     (tmp_path / "scripts").mkdir()
     shutil.copy(ROOT / "scripts" / "run_experiments.py", tmp_path / "scripts")
     (tmp_path / "src").symlink_to(ROOT / "src")
-    monkeypatch.delenv("STEINER_CAP_PAIRS", raising=False)
     subprocess.run(
         [sys.executable, str(tmp_path / "scripts" / "run_experiments.py")],
         check=True, capture_output=True,
@@ -502,6 +551,22 @@ def _repeat_charge(cert):
     cert["charges"]["00"] = cert["charges"]["0"]
 
 
+def _charge_key_padded(cert):
+    cert["charges"][" 0"] = cert["charges"].pop("0")
+
+
+def _status_key_underscored(cert):
+    cert["statuses"]["0_1"] = cert["statuses"].pop("1")
+
+
+def _charge_key_signed(cert):
+    cert["charges"]["+2"] = cert["charges"].pop("2")
+
+
+def _status_key_zero_led(cert):
+    cert["statuses"]["01"] = cert["statuses"].pop("1")
+
+
 def _ball_unknown_pair(cert):
     cert["balls"][0]["pair"] = 99
 
@@ -545,6 +610,10 @@ def _step_log_string(cert):
         _drop_status,
         _extra_charge,
         _repeat_charge,
+        _charge_key_padded,
+        _status_key_underscored,
+        _charge_key_signed,
+        _status_key_zero_led,
         _ball_unknown_pair,
         _ball_unknown_class,
         _ball_center_not_vertex,
@@ -661,7 +730,7 @@ def test_balanced_certificate_dangerous_must_match_statuses(tmp_path, capsys, ta
         "--delta", 300, "--alpha", "1", "--certificate", broken,
     )
     assert rc == 2
-    assert_one_line_error(capsys)
+    assert "dangerous pairs differ from its dangerous statuses" in assert_one_line_error(capsys)
 
 
 def test_balanced_certificate_round_trip(tmp_path):
@@ -837,16 +906,14 @@ def test_run_builds_one_tree_oracle(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_past_the_pair_cap_skips_opt_and_tstar(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("STEINER_CAP_PAIRS", raising=False)
+def test_run_past_the_pair_cap_skips_opt_and_tstar(tmp_path, capsys):
     inst = tmp_path / "r.json"
     run_cli("generate", "random", "--n", 6, "--m", 10, "--k", 9, "--seed", 0, "--out", inst)
     row = _run_row(capsys, inst)
     assert (row["opt_cost"], row["tstar_cost"], row["verdicts"]) == ("", "", "opt:skipped-cap")
 
 
-def test_run_fills_tstar_past_the_tree_terminal_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("STEINER_CAP_PAIRS", raising=False)
+def test_run_fills_tstar_past_the_tree_terminal_cap(tmp_path, capsys):
     path = tmp_path / "r.json"
     run_cli("generate", "random", "--n", 30, "--m", 29, "--k", 7, "--seed", 2, "--out", path)
     inst = parse_instance(path.read_text())

@@ -52,7 +52,7 @@ def test_parse_fraction_roundtrip(text, value):
     assert format_fraction(value) == text
 
 
-@pytest.mark.parametrize("text", ["3/6", "1.5", "5", " 5/1", "5/0", "-1/2", "02/1"])
+@pytest.mark.parametrize("text", ["3/6", "1.5", "5", " 5/1", "5/1\n", "5/0", "-1/2", "02/1"])
 def test_parse_fraction_rejects_non_canonical(text):
     with pytest.raises(ParseError):
         parse_fraction(text)

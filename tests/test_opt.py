@@ -66,23 +66,12 @@ def test_terminal_cap():
         steiner_tree_exact(g, list(range(14)))
 
 
-def test_pair_cap_env_override(monkeypatch):
+def test_pair_cap_is_eight():
     g = WeightedGraph(20, [(i, i + 1, F(1)) for i in range(19)])
     pairs = [(2 * i, 2 * i + 1) for i in range(9)]
-    inst = make_instance(g, pairs)
-    with pytest.raises(CapExceededError):
-        steiner_forest_exact(inst)
-    monkeypatch.setenv("STEINER_CAP_PAIRS", "9")
-    sol = steiner_forest_exact(inst)
-    assert sol.weight == 9  # every pair is one unit edge
-
-
-@pytest.mark.parametrize("value", ["x", "-1", "1.5", " 9"])
-def test_pair_cap_env_must_be_a_nonnegative_integer(monkeypatch, value):
-    inst = make_instance(WeightedGraph(2, [(0, 1, F(1))]), [(0, 1)])
-    monkeypatch.setenv("STEINER_CAP_PAIRS", value)
-    with pytest.raises(InputError, match="STEINER_CAP_PAIRS"):
-        steiner_forest_exact(inst)
+    assert steiner_forest_exact(make_instance(g, pairs[:8])).weight == 8
+    with pytest.raises(CapExceededError, match="9 pairs exceed the cap of 8"):
+        steiner_forest_exact(make_instance(g, pairs))
 
 
 @pytest.mark.parametrize("t", [1, 2, 5])

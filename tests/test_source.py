@@ -234,22 +234,30 @@ def _imports_heapq(node) -> bool:
     return isinstance(node, ast.ImportFrom) and node.module == "heapq"
 
 
-SEARCHES = {"_dijkstra", "_ball_search"}
+def _naming(names: set[str]):
+    """A predicate: the node imports, reads or takes an attribute in `names`."""
 
+    def names_one(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name in names for alias in node.names)
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute) and node.attr in names
+        )
 
-def _names_a_search(node) -> bool:
-    if isinstance(node, ast.ImportFrom):
-        return any(alias.name in SEARCHES for alias in node.names)
-    return (isinstance(node, ast.Name) and node.id in SEARCHES) or (
-        isinstance(node, ast.Attribute) and node.attr in SEARCHES
-    )
+    return names_one
 
 
 def test_one_distance_layer():
     # every shortest-path search goes through graph's kernel; opt keeps the
     # Steiner DP's own heap over (vertex, terminal subset) states
     assert _modules_using(_imports_heapq) == {"graph", "opt"}
-    assert _modules_using(_names_a_search) == {"graph"}
+    assert _modules_using(_naming({"_dijkstra", "_ball_search"})) == {"graph"}
+
+
+def test_no_module_reads_the_environment():
+    # every command is deterministic given its arguments and files: no
+    # environment variable changes what the package computes
+    assert _modules_using(_naming({"environ", "environb", "getenv", "getenvb"})) == set()
 
 
 def _reads_adj_off_a_non_metric(node) -> bool:
