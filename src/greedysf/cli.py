@@ -189,15 +189,22 @@ def cmd_run(args) -> int:
 
 def _append_run_row(path: str, row: dict):
     """Append `row` to the run CSV at `path`, writing the header first when
-    the file is missing or empty.  A file that starts with any other line is
-    refused and left as it was."""
+    the file is missing or empty.  A file that starts with any other line, or
+    whose last line has no newline for the row to follow, is refused and left
+    as it was."""
+    last = b""
     try:
         with open(path, "rb") as fh:
             first = fh.readline()
+            if first:
+                fh.seek(-1, io.SEEK_END)
+                last = fh.read(1)
     except FileNotFoundError:
         first = b""
     if first and first.rstrip(b"\r\n") != ",".join(RUN_CSV_FIELDS).encode():
         raise InputError(f"{path}: header does not follow the run-row schema")
+    if first and last != b"\n":
+        raise InputError(f"{path}: last line does not end in a newline")
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=RUN_CSV_FIELDS, lineterminator="\n")
         if not first:

@@ -8,6 +8,7 @@ rational brackets for the irrational constants used by the audit thresholds.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -28,12 +29,11 @@ def parse_fraction(text: str) -> Fraction:
     if m is None:
         raise ParseError(f"not a canonical fraction string: {text!r}")
     num, den = int(m.group(1)), int(m.group(2))
-    value = Fraction(num, den)
-    if value.numerator != num or value.denominator != den:
+    if math.gcd(num, den) != 1:
         raise ParseError(f"fraction not reduced: {text!r}")
-    if value < 0:
+    if num < 0:
         raise ParseError(f"negative value not allowed here: {text!r}")
-    return value
+    return Fraction(num, den)
 
 
 def parse_int(value, what: str) -> int:

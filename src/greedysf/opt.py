@@ -6,9 +6,12 @@ connecting subtree is unique).  Steiner forests come from a depth-first
 search over the set partitions of the pair list that sums per-block trees,
 which is correct because every optimal forest component serves some subset
 of the pairs; the search keeps its first strict minimum, so its order fixes
-the edges chosen among tied optima.  Fixed caps, PAIR_CAP pairs per forest
-and (unless a caller passes its own) DEFAULT_TERMINAL_CAP terminals per tree,
-keep the Bell-number times 3^(t-1) work deliberate rather than accidental.
+the edges chosen among tied optima.  It cuts against that incumbent: a
+block's tree never gets lighter as pairs join it, so a partial partition
+whose blocks already weigh as much as the incumbent holds no better leaf and
+is left.  Fixed caps, PAIR_CAP pairs per forest and (unless a caller passes
+its own) DEFAULT_TERMINAL_CAP terminals per tree, keep the worst case of
+Bell-number leaves times 3^(t-1) DP work deliberate rather than accidental.
 """
 
 from __future__ import annotations
@@ -266,25 +269,34 @@ def exact_optima(inst: Instance) -> tuple[SteinerSolution, Optional[Fraction]]:
     best = None
     best_blocks = None
     blocks: list[int] = []  # the terminal mask of each block formed so far
+    weights: list[int] = []  # and its tree weight
 
-    def search(i):
+    def search(i, total):
         nonlocal best, best_blocks
+        # a block's tree only grows as pairs join it, so `total` bounds every
+        # leaf below: a subtree that cannot beat the incumbent is cut
+        if best is not None and total >= best:
+            return
         if i == inst.k:
-            weights = [oracle.weight(m) for m in blocks]
-            if None not in weights and (best is None or sum(weights) < best):
-                best, best_blocks = sum(weights), list(blocks)
+            best, best_blocks = total, list(blocks)
             return
         # pair i joins each block in creation order, then opens its own: the
         # first strict minimum in this order fixes the edges among tied optima
-        for j, m in enumerate(blocks):
-            blocks[j] = m | pair_mask[i]
-            search(i + 1)
-            blocks[j] = m
-        blocks.append(pair_mask[i])
-        search(i + 1)
-        blocks.pop()
+        for j, (m, old) in enumerate(zip(blocks, weights)):
+            w = oracle.weight(m | pair_mask[i])
+            if w is not None:  # else the block, and all it grows into, is disconnected
+                blocks[j], weights[j] = m | pair_mask[i], w
+                search(i + 1, total - old + w)
+                blocks[j], weights[j] = m, old
+        w = oracle.weight(pair_mask[i])
+        if w is not None:
+            blocks.append(pair_mask[i])
+            weights.append(w)
+            search(i + 1, total + w)
+            blocks.pop()
+            weights.pop()
 
-    search(0)
+    search(0, 0)
     if best is None:
         raise InputError("some pair is disconnected in the graph")
     edge_idx = set().union(*(oracle.edges(m) for m in best_blocks))

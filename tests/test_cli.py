@@ -434,6 +434,23 @@ def test_run_csv_into_a_file_with_another_header_exits_2(tmp_path, capsys, text)
     assert csv_path.read_bytes() == text.encode()
 
 
+@pytest.mark.parametrize("rows", [0, 1])
+def test_run_csv_onto_a_last_line_without_newline_exits_2(tmp_path, capsys, rows):
+    # a header alone, or a header and one run row, missing the final newline:
+    # a row appended there would be glued onto that last line
+    csv_path = _petersen_run_csv(tmp_path)
+    lines = csv_path.read_bytes().splitlines()
+    assert len(lines) == 2
+    text = b"\n".join(lines[: 1 + rows])
+    csv_path.write_bytes(text)
+    capsys.readouterr()
+    inst = tmp_path / "pet.json"
+    assert run_cli("run", "--instance", inst, "--rule", "1", "--csv", csv_path) == 2
+    err = assert_one_line_error(capsys)
+    assert str(csv_path) in err and "last line does not end in a newline" in err
+    assert csv_path.read_bytes() == text
+
+
 def test_readme_command_block_runs(tmp_path, monkeypatch):
     text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,48 @@ def test_parse_fraction_roundtrip(text, value):
 def test_parse_fraction_rejects_non_canonical(text):
     with pytest.raises(ParseError):
         parse_fraction(text)
+
+
+def _normalising_parse_fraction(text):
+    """The reference: build the normalised `Fraction`, then compare it with
+    the text's numerator and denominator and check its sign."""
+    if not isinstance(text, str):
+        raise ParseError(f"fraction must be a string, got {type(text).__name__}")
+    m = re.fullmatch(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)", text)
+    if m is None:
+        raise ParseError(f"not a canonical fraction string: {text!r}")
+    num, den = int(m.group(1)), int(m.group(2))
+    value = Fraction(num, den)
+    if value.numerator != num or value.denominator != den:
+        raise ParseError(f"fraction not reduced: {text!r}")
+    if value < 0:
+        raise ParseError(f"negative value not allowed here: {text!r}")
+    return value
+
+
+def _fraction_corpus():
+    numbers = [str(n) for n in range(-24, 25)] + ["-0", "00", "01", "-01", "+1", "10" * 12]
+    dens = [str(d) for d in range(19)] + ["-1", "01", "+2", "3" * 20]
+    texts = [f"{n}/{d}" for n in numbers for d in dens]
+    texts += [t + tail for t in ("1/1", "0/2", "3/4") for tail in ("\n", " ", "\r\n", "/1")]
+    texts += ["", "/", "1/", "/2", "5", "1.5", "1e3", " 1/2", "1 /2", "½", "٣/٤", "1_0/3"]
+    return texts + [None, 1, 1.5, Fraction(1, 2), b"1/2", ["1/2"]]
+
+
+def test_parse_fraction_matches_the_normalising_reference():
+    corpus = _fraction_corpus()
+    assert len(corpus) > 1000
+    for text in corpus:
+        outcomes = []
+        for parse in (parse_fraction, _normalising_parse_fraction):
+            try:
+                value = parse(text)
+            except ParseError as exc:
+                outcomes.append(("error", str(exc)))
+            else:
+                assert type(value) is Fraction
+                outcomes.append(("value", value))
+        assert outcomes[0] == outcomes[1], text
 
 
 def test_floor_ceil_log2():

@@ -240,6 +240,77 @@ def test_forest_search_keeps_the_first_minimum_of_set_partitions(inst):
     assert (read, forest.edge_indices, forest.weight, tstar) == expected
 
 
+def traced_exact_optima(inst):
+    """`exact_optima(inst)` as (block masks read off `oracle.edges`, edge
+    indices, weight, T*), the shape of `enumerated_optima`, and the number of
+    `oracle.weight` reads the search made."""
+    edge_reads, weight_reads = [], []
+    tree_oracle = opt._tree_oracle
+
+    def recording_oracle(g, terminals):
+        oracle = tree_oracle(g, terminals)
+        for name, log in (("edges", edge_reads), ("weight", weight_reads)):
+            def recorded(mask, read=getattr(oracle, name), log=log):
+                log.append(mask)
+                return read(mask)
+
+            setattr(oracle, name, recorded)
+        return oracle
+
+    with mock.patch.object(opt, "_tree_oracle", recording_oracle):
+        forest, tstar = exact_optima(inst)
+    return (edge_reads, forest.edge_indices, forest.weight, tstar), len(weight_reads)
+
+
+def tie_heavy_instance(n, m, k, seed):
+    """A random spanning tree on n vertices plus m - n + 1 more edges, each
+    weight in {0, 1/2, 1}, and k pairs, each the ends of a random edge: the
+    optima split into one to three blocks and tie often."""
+    rng = random.Random(seed)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    others = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    chosen = tree + rng.sample(others, m - n + 1)
+    edges = [(u, v, F(rng.randrange(3), 2)) for u, v in chosen]
+    pairs = [rng.choice(chosen) for _ in range(k)]
+    return make_instance(WeightedGraph(n, edges), pairs)
+
+
+@pytest.mark.parametrize("k", (6, 7, 8))
+@pytest.mark.parametrize("n,m", ((14, 13), (9, 12)), ids=("tree", "cyclic"))
+def test_forest_search_cut_keeps_the_first_minimum_at_six_to_eight_pairs(n, m, k):
+    """Past the hypothesis test's 5 pairs: the cut leaves the first strict
+    minimum over `set_partitions` in place, ties included."""
+    for seed in range(4):
+        inst = tie_heavy_instance(n, m, k, seed)
+        assert traced_exact_optima(inst)[0] == enumerated_optima(inst)
+
+
+def test_forest_search_cut_skips_disconnected_blocks():
+    # two components: a block across them is disconnected, and so is every
+    # block it grows into, so there is no single tree (T* is None)
+    left, right = tie_heavy_instance(5, 6, 4, seed=0), tie_heavy_instance(4, 3, 3, seed=1)
+    edges = list(left.graph.edges) + [(u + 5, v + 5, w) for u, v, w in right.graph.edges]
+    pairs = [(p.s, p.t) for p in left.pairs] + [(p.s + 5, p.t + 5) for p in right.pairs]
+    inst = make_instance(WeightedGraph(9, edges), pairs)
+    expected = enumerated_optima(inst)
+    assert expected[3] is None
+    assert traced_exact_optima(inst)[0] == expected
+    across = make_instance(inst.graph, pairs + [(0, 8)])
+    with pytest.raises(InputError, match="some pair is disconnected"):
+        enumerated_optima(across)
+    with pytest.raises(InputError, match="some pair is disconnected"):
+        exact_optima(across)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forest_search_reads_fewer_weights_than_bell_8(seed):
+    # scoring every leaf would read at least one weight for each of the
+    # Bell(8) = 4,140 partitions of 8 pairs
+    inst = gen_random_instance(400, 399, 8, seed)
+    assert inst.k == 8
+    assert traced_exact_optima(inst)[1] < 4140
+
+
 def brute_force_forest(inst):
     g = inst.graph
     best = None
