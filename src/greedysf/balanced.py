@@ -27,6 +27,7 @@ from .errors import InputError, InternalConsistencyError, ParseError
 from .exact import (
     SURVIVOR_CHARGE_CAP_UPPER,
     E5_UPPER,
+    class_radius,
     exp_upper,
     format_fraction,
     lg_plus,
@@ -101,7 +102,7 @@ def trace_classes(trace: RunTrace) -> tuple[ClassInfo, ...]:
             index=idx,
             cost=cost,
             pair_ids=tuple(ids),
-            radius_full=cost / (8 * lg_plus(len(ids))),
+            radius_full=class_radius(cost, len(ids)),
         )
         for idx, (cost, ids) in enumerate(equal_cost_classes(trace), start=1)
     )
@@ -615,6 +616,17 @@ def _pair_key(key: str) -> int:
     return int(key)
 
 
+def _step_log(value) -> list[dict]:
+    """The step log, once each step is an object with a canonical `charged_total`."""
+    steps = parse_list(value, "step_log")
+    for i, step in enumerate(steps):
+        try:
+            parse_fraction(step["charged_total"])
+        except (KeyError, TypeError, ParseError) as exc:
+            raise ParseError(f"step_log[{i}] needs a canonical 'charged_total'") from exc
+    return steps
+
+
 def obj_to_balanced(obj) -> BalancedDual:
     try:
         balls = [
@@ -649,7 +661,7 @@ def obj_to_balanced(obj) -> BalancedDual:
             K=parse_int(obj["K"], "K"),
             statuses=statuses,
             classes=classes,
-            step_log=parse_list(obj.get("step_log", []), "step_log"),
+            step_log=_step_log(obj.get("step_log", [])),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed balanced dual certificate: {exc}") from exc

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, InternalConsistencyError
-from .exact import format_fraction, lg_plus
+from .exact import class_radius, format_fraction, lg_plus
 from .graph import (
     Distances, WeightedGraph, first_overlap, girth, open_ball, overlapping_pairs
 )
@@ -81,7 +81,7 @@ def build_class_duals(
         subset = list(class_pairs)
     if not set(subset) <= set(class_pairs):
         raise InputError("subset must be contained in class_pairs")
-    r = cost / (8 * lg_plus(len(class_pairs)))
+    r = class_radius(cost, len(class_pairs))
 
     g = inst.graph
     ball_sets: list[frozenset[int]] = []
@@ -195,13 +195,10 @@ def verify_class_duals(
             mates_ok = False
             offenders.append(f"ball {idx} radius reaches its mate distance")
 
-    rad_class_ok = coll.radius <= coll.class_cost / (8 * lg_plus(class_size))
+    rad_class_ok = coll.radius <= class_radius(coll.class_cost, class_size)
     if not rad_class_ok:
         offenders.append("radius exceeds the class-size bound")
-    rad_subset_ok = (
-        p_count == 0
-        or coll.radius <= coll.class_cost / (8 * lg_plus(max(1, p_count)))
-    )
+    rad_subset_ok = p_count == 0 or coll.radius <= class_radius(coll.class_cost, p_count)
     if not rad_subset_ok:
         offenders.append("radius exceeds the subset-size bound")
 

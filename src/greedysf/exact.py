@@ -118,6 +118,11 @@ def lg_plus(value) -> int:
     return max(1, ceil_log2(value))
 
 
+def class_radius(cost: Fraction, size: int) -> Fraction:
+    """The dual-ball radius c / (8 * lg_plus(|P|)) of a class P of pairs of cost c."""
+    return cost / (8 * lg_plus(size))
+
+
 # Certified rational brackets for irrational audit constants.  The test suite
 # verifies these against 50-digit evaluations; audits only ever use them in
 # the direction that slackens toward accepting a true inequality.

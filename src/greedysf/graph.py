@@ -390,6 +390,40 @@ class UnionFind:
         return sorted(out.values(), key=min)
 
 
+@dataclass(frozen=True)
+class SpanningForest:
+    """Per vertex: the root of its tree (its component's least vertex), its
+    parent and the index of the edge to it (-1 at a root), and its depth; and
+    whether the graph is a forest: every edge some vertex's parent edge."""
+
+    root: list[int]
+    parent: list[int]
+    parent_edge: list[int]
+    depth: list[int]
+    is_forest: bool
+
+
+def spanning_forest(g: WeightedGraph) -> SpanningForest:
+    """The breadth-first forest: each component walked from its least vertex
+    along the rows of the graph's metric (neighbours in edge-index order)."""
+    adj = g.metric.adj
+    root, parent, parent_edge, depth = [-1] * g.n, [-1] * g.n, [-1] * g.n, [0] * g.n
+    for r in range(g.n):
+        if root[r] != -1:
+            continue
+        root[r] = r
+        queue = [r]
+        for u in queue:
+            for v, _, ei in adj[u]:
+                if root[v] == -1:
+                    root[v], parent[v], parent_edge[v] = r, u, ei
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+    # the walk takes one distinct parent edge per vertex that is not a root
+    forest = len(g.edges) == g.n - parent.count(-1)
+    return SpanningForest(root, parent, parent_edge, depth, forest)
+
+
 SUBDIVISION_EDGE_LIMIT = 2_000_000
 
 

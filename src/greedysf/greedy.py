@@ -75,7 +75,7 @@ def run_greedy(inst: Instance, rule: Rule) -> RunTrace:
     if len(inst.schedule) != len(inst.pairs):
         raise InputError("schedule length must match pair count")
     metric = inst.graph.metric.extended(w for step in inst.schedule for _, _, w in step)
-    prev_terminals: set[int] = set()
+    terminals: set[int] = set()  # of the pairs so far, the arriving one included
     paths, costs, added = [], [], []
     for i, pair in enumerate(inst.pairs):
         for u, v, w in inst.schedule[i]:
@@ -84,12 +84,10 @@ def run_greedy(inst: Instance, rule: Rule) -> RunTrace:
         if not best.reachable:
             raise RunError(f"pair {i} ({pair.s},{pair.t}) unreachable in current metric")
         cost, path = best.distance, best.path
-        shortcuts = apply_contraction_rule(
-            rule, path, prev_terminals | {pair.s, pair.t}
-        )
+        terminals.update((pair.s, pair.t))
+        shortcuts = apply_contraction_rule(rule, path, terminals)
         for u, v in shortcuts:
             metric.add_edge(u, v, Fraction(0))
-        prev_terminals.update((pair.s, pair.t))
         paths.append(path)
         costs.append(cost)
         added.append(shortcuts)

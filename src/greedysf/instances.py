@@ -17,8 +17,8 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import InputError, ParseError
-from .exact import format_fraction, lg_plus, parse_edge, parse_int, parse_list, pow2
-from .graph import WeightedGraph, girth, obj_to_graph, graph_to_obj
+from .exact import class_radius, format_fraction, parse_edge, parse_int, parse_list, pow2
+from .graph import WeightedGraph, girth, obj_to_graph, graph_to_obj, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -215,29 +215,6 @@ CAGES: dict[str, tuple[int, list[tuple[int, int]]]] = {
 }
 
 
-def _bfs_tree_edges(g: WeightedGraph) -> set[tuple[int, int]]:
-    """The edges of the breadth-first tree from vertex 0, neighbours in id order.
-
-    Walks the rows of the graph's metric, which list each vertex's
-    neighbours in edge-index order: id order for edges sorted by (min, max).
-    """
-    adj = g.metric.adj
-    tree = set()
-    seen = [False] * g.n
-    seen[0] = True
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for v, _, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                tree.add((min(u, v), max(u, v)))
-                queue.append(v)
-    return tree
-
-
 def gen_girth_lower_bound(cage: str) -> Instance:
     """Hard instance over a cage graph: tree edges cost 1, chords cost g/2.
 
@@ -248,9 +225,10 @@ def gen_girth_lower_bound(cage: str) -> Instance:
         raise InputError(f"unknown cage {cage!r}; choices: {sorted(CAGES)}")
     n, skeleton = CAGES[cage]
     unit = WeightedGraph(n, [(u, v, Fraction(1)) for u, v in skeleton])
-    g_value = girth(unit)
-    tree = _bfs_tree_edges(unit)
-    half_girth = Fraction(g_value, 2)
+    # the breadth-first tree from vertex 0; the skeleton is sorted, so the
+    # walk meets each vertex's neighbours in id order
+    tree = {skeleton[ei] for ei in spanning_forest(unit).parent_edge if ei != -1}
+    half_girth = Fraction(girth(unit), 2)
     weighted = [
         (u, v, Fraction(1) if (u, v) in tree else half_girth) for u, v in skeleton
     ]
@@ -312,7 +290,6 @@ def gen_canonical_nested(
     if M * ppc > 64:
         raise InputError("vertex budget exceeded; reduce classes or pairs per class")
     rng = random.Random(seed)
-    lg_k = lg_plus(ppc)
 
     edges: list[tuple[int, int, Fraction]] = []
     next_id = 0
@@ -335,7 +312,7 @@ def gen_canonical_nested(
     host: int | None = None  # endpoint hosting the next class's planted pair
     for j in range(1, M + 1):
         cost = pow2((M - j) * (delta + 10) + 1)
-        radius = cost / (8 * lg_k)
+        radius = class_radius(cost, ppc)
         order = list(range(ppc))
         rng.shuffle(order)
         class_pairs: list[tuple[int, int]] = []

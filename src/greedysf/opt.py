@@ -24,7 +24,8 @@ from typing import Optional
 
 from .errors import CapExceededError, InputError, InternalConsistencyError
 from .exact import format_fraction
-from .graph import Distances, UnionFind, WeightedGraph, overlapping_pairs
+from .graph import Distances, SpanningForest, WeightedGraph, overlapping_pairs
+from .graph import spanning_forest
 from .instances import Instance, MateMap
 
 PAIR_CAP = 8
@@ -41,11 +42,6 @@ class SteinerSolution:
 def serialize_solution(sol: SteinerSolution) -> str:
     obj = {"weight": format_fraction(sol.weight), "edges": [[u, v] for u, v in sol.edges]}
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _is_forest(g: WeightedGraph) -> bool:
-    uf = UnionFind()
-    return all(uf.union(u, v) for u, v, _ in g.edges)
 
 
 def _solution(g: WeightedGraph, edge_indices) -> SteinerSolution:
@@ -68,46 +64,28 @@ class _ForestIndex:
     """On an acyclic graph the minimal connecting subtree is unique: the union
     of the paths from one terminal to every other."""
 
-    def __init__(self, g: WeightedGraph, terminals: tuple[int, ...]):
-        self.terminals = terminals
-        self.parent_edge = [-1] * g.n
-        self.parent = [-1] * g.n
-        self.root = [-1] * g.n
-        self.depth = [0] * g.n
-        self.edge_weight = [0] * len(g.edges)
-        adj = g.metric.adj
-        for r in range(g.n):
-            if self.root[r] != -1:
-                continue
-            self.root[r] = r
-            stack = [r]
-            while stack:
-                u = stack.pop()
-                for v, wi, ei in adj[u]:
-                    if self.root[v] == -1:
-                        self.root[v] = r
-                        self.parent[v] = u
-                        self.parent_edge[v] = ei
-                        self.edge_weight[ei] = wi
-                        self.depth[v] = self.depth[u] + 1
-                        stack.append(v)
+    def __init__(self, g: WeightedGraph, forest: SpanningForest, terminals: tuple[int, ...]):
+        self.forest, self.terminals = forest, terminals
+        scale = g.metric.scale
+        self.edge_weight = [w.numerator * scale // w.denominator for _, _, w in g.edges]
         self._memo: dict[int, Optional[tuple[int, set[int]]]] = {}
 
     def _path_edges(self, a: int, b: int) -> set[int]:
+        f = self.forest
         edges: set[int] = set()
         while a != b:
-            if self.depth[a] >= self.depth[b]:
-                edges.add(self.parent_edge[a])
-                a = self.parent[a]
+            if f.depth[a] >= f.depth[b]:
+                edges.add(f.parent_edge[a])
+                a = f.parent[a]
             else:
-                edges.add(self.parent_edge[b])
-                b = self.parent[b]
+                edges.add(f.parent_edge[b])
+                b = f.parent[b]
         return edges
 
     def _tree(self, mask) -> Optional[tuple[int, set[int]]]:
         if mask not in self._memo:
             first, *rest = [t for i, t in enumerate(self.terminals) if mask >> i & 1]
-            if any(self.root[t] != self.root[first] for t in rest):
+            if any(self.forest.root[t] != self.forest.root[first] for t in rest):
                 self._memo[mask] = None
             else:
                 edges = set().union(*(self._path_edges(first, t) for t in rest))
@@ -225,7 +203,10 @@ class SteinerTable:
 def _tree_oracle(g: WeightedGraph, terminals: tuple[int, ...]):
     """The Steiner-tree solver over masks of `terminals`: the closed form on
     acyclic graphs, the subset DP otherwise."""
-    return _ForestIndex(g, terminals) if _is_forest(g) else SteinerTable(g, terminals)
+    forest = spanning_forest(g)
+    if forest.is_forest:
+        return _ForestIndex(g, forest, terminals)
+    return SteinerTable(g, terminals)
 
 
 def steiner_tree_exact(

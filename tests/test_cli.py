@@ -713,6 +713,7 @@ def test_balanced_certificate_foreign_classes_exits_2(tmp_path, capsys, pairs):
         {"certificate": 5},
         {"step_log": [5]},
         {"step_log": [{"charged_total": ["1"]}]},
+        {"step_log": []},
     ],
 )
 def test_conservation_malformed_step_log_exits_2(tmp_path, capsys, obj):
@@ -720,6 +721,46 @@ def test_conservation_malformed_step_log_exits_2(tmp_path, capsys, obj):
     cert.write_text(json.dumps(obj))
     assert run_cli("audit", "--kind", "conservation", "--certificate", cert) == 2
     assert_one_line_error(capsys)
+
+
+def _step_not_object(cert):
+    cert["step_log"][0] = 5
+
+
+def _step_total_missing(cert):
+    del cert["step_log"][1]["charged_total"]
+
+
+def _step_total_not_fraction(cert):
+    cert["step_log"][1]["charged_total"] = "x"
+
+
+@pytest.mark.parametrize("reader", ["certify", "audit"])
+@pytest.mark.parametrize(
+    "tamper,step",
+    [
+        (_step_not_object, "step_log[0]"),
+        (_step_total_missing, "step_log[1]"),
+        (_step_total_not_fraction, "step_log[1]"),
+    ],
+)
+def test_unreadable_step_exits_2_naming_the_step(tmp_path, capsys, reader, tamper, step):
+    # certify --certificate and the conservation audit share one reader, so a
+    # step without a canonical charged total stops both
+    canon, cert = _balanced_certificate(tmp_path)
+    tamper(cert)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(cert))
+    argv = {
+        "certify": [
+            "certify", "--kind", "balanced", "--instance", canon,
+            "--delta", 200, "--alpha", "1", "--certificate", broken,
+        ],
+        "audit": ["audit", "--kind", "conservation", "--certificate", broken],
+    }[reader]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert step in assert_one_line_error(capsys)
 
 
 def _dangerous_status_unlisted(cert):

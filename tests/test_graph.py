@@ -9,6 +9,7 @@ from greedysf.errors import InputError, InternalConsistencyError
 from greedysf.graph import (
     Distances,
     Metric,
+    UnionFind,
     WeightedGraph,
     default_eta,
     distances_from,
@@ -19,6 +20,7 @@ from greedysf.graph import (
     obj_to_graph,
     overlapping_pairs,
     shortest_path,
+    spanning_forest,
     subdivide_edges,
 )
 
@@ -475,6 +477,68 @@ def test_girth_examples():
 def test_girth_ignores_weights():
     heavy = WeightedGraph(3, [(0, 1, F(100)), (1, 2, F(1)), (0, 2, F(1))])
     assert girth(heavy) == 3
+
+
+@st.composite
+def multigraphs(draw, max_n=8):
+    """Graphs on 1 to max_n vertices whose edges may repeat, weigh zero, or
+    leave vertices isolated: forests, cycles and two-cycles all occur."""
+    n = draw(st.integers(1, max_n))
+    ordered = list(itertools.permutations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(ordered), max_size=n + 1)) if ordered else []
+    weight = st.builds(F, st.integers(0, 4), st.integers(1, 3))
+    return WeightedGraph(n, [(u, v, draw(weight)) for u, v in chosen])
+
+
+def union_find_is_forest(g):
+    """Acyclic iff no edge joins two vertices a union-find already joined."""
+    uf = UnionFind()
+    return all(uf.union(u, v) for u, v, _ in g.edges)
+
+
+def depth_first_forest(g):
+    """(root, parent, parent edge, depth) of a depth-first walk from each
+    component's least vertex; on a forest there is only one such rooting."""
+    root, parent, parent_edge, depth = [-1] * g.n, [-1] * g.n, [-1] * g.n, [0] * g.n
+    for r in range(g.n):
+        if root[r] != -1:
+            continue
+        root[r] = r
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            for v, _, ei in g.metric.adj[u]:
+                if root[v] == -1:
+                    root[v], parent[v], parent_edge[v] = r, u, ei
+                    depth[v] = depth[u] + 1
+                    stack.append(v)
+    return root, parent, parent_edge, depth
+
+
+@given(multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_spanning_forest_matches_union_find_and_depth_first_walks(g):
+    walk = spanning_forest(g)
+    assert walk.is_forest == union_find_is_forest(g)
+    root, parent, parent_edge, depth = depth_first_forest(g)
+    assert walk.root == root
+    for v in range(g.n):
+        # breadth-first: each depth is the hop count from the root
+        assert walk.depth[v] == bfs_hops(g, root[v])[v]
+        if v != root[v]:
+            u, w, _ = g.edges[walk.parent_edge[v]]
+            assert {u, w} == {v, walk.parent[v]}
+    if walk.is_forest:
+        assert (walk.parent, walk.parent_edge, walk.depth) == (parent, parent_edge, depth)
+
+
+def test_spanning_forest_examples():
+    single = spanning_forest(WeightedGraph(1, []))
+    assert (single.root, single.parent, single.depth, single.is_forest) == ([0], [-1], [0], True)
+    # an isolated vertex, and two parallel edges (one of weight zero) closing a cycle
+    walk = spanning_forest(WeightedGraph(5, [(3, 4, F(0)), (1, 0, F(1)), (4, 3, F(2))]))
+    assert walk.root == [0, 0, 2, 3, 3] and walk.parent_edge == [-1, 1, -1, -1, 0]
+    assert not walk.is_forest
 
 
 def test_graph_serialization_roundtrip():

@@ -221,23 +221,7 @@ def test_forest_search_keeps_the_first_minimum_of_set_partitions(inst):
         with pytest.raises(InputError, match="some pair is disconnected"):
             exact_optima(inst)
         return
-    read = []  # the block masks whose trees exact_optima reads off the oracle
-    tree_oracle = opt._tree_oracle
-
-    def recording_oracle(g, terminals):
-        oracle = tree_oracle(g, terminals)
-        edges = oracle.edges
-
-        def recorded(mask):
-            read.append(mask)
-            return edges(mask)
-
-        oracle.edges = recorded
-        return oracle
-
-    with mock.patch.object(opt, "_tree_oracle", recording_oracle):
-        forest, tstar = exact_optima(inst)
-    assert (read, forest.edge_indices, forest.weight, tstar) == expected
+    assert traced_exact_optima(inst)[0] == expected
 
 
 def traced_exact_optima(inst):
