@@ -12,8 +12,10 @@ per ball inspects the charged cost of the smaller pairs that landed near it:
   carries little compared to the interior and defer those pairs as
   dangerous.
 
-Charges move but total charged cost is conserved at every step; the step
-log is sufficient to replay that.
+`apply_event` is the one charge flow: the builder moves charges and sets
+statuses only by applying each event it logs, and `replay` applies a
+certificate's log again from every charge at 1.  Each event conserves the
+total charged cost, and each logged `charged_total` is the replayed total.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import InputError, InternalConsistencyError, ParseError
+from .errors import GreedysfError, InputError, InternalConsistencyError, ParseError
 from .exact import (
     SURVIVOR_CHARGE_CAP_UPPER,
     E5_UPPER,
@@ -194,12 +196,59 @@ def build_balanced(
     return _construct(trace, inst, K, classes)
 
 
+def apply_event(charges, statuses, event: dict, cost: dict[int, Fraction]) -> None:
+    """Move the charges and set the statuses for one step-log event.
+
+    The one charge flow: the builder applies each event it logs through here
+    and `replay` a certificate's log; `cost` maps a pair to its class cost.
+    """
+    kind = event["event"]
+
+    def pairs(name: str) -> list[int]:
+        return [parse_int(q, f"{name} pair") for q in parse_list(event[name], name)]
+
+    if kind == "redistribute_skipped":
+        skipped, balled = pairs("skipped"), pairs("balled")
+        share = sum((charges[q] for q in skipped), Fraction(0)) / len(balled)
+        for q in skipped:
+            charges[q], statuses[q] = Fraction(0), PairStatus.CHARGED
+        for p in balled:
+            charges[p] += share
+        return
+    owner = parse_int(event["owner"], "owner")
+    if kind == "delete_and_recharge":
+        interior = pairs("interior")
+        sigma = sum((charges[q] * cost[q] for q in interior), Fraction(0))
+        factor = 1 + charges[owner] * cost[owner] / sigma
+        for q in interior:
+            charges[q] *= factor
+        charges[owner], statuses[owner] = Fraction(0), PairStatus.CHARGED
+    elif kind == "halve_and_absorb":
+        for q in pairs("absorbed"):
+            if statuses[q] is not PairStatus.CHARGED:  # else zero charge moves nothing
+                charges[owner] += charges[q] * cost[q] / cost[owner]
+                charges[q], statuses[q] = Fraction(0), PairStatus.CHARGED
+        statuses[owner] = PairStatus.SURVIVING
+    elif kind == "grow_and_defer":
+        for q in pairs("deferred"):
+            if statuses[q] is not PairStatus.UNCLASSIFIED:
+                raise InternalConsistencyError(
+                    f"pair {q} was already classified when ball of pair "
+                    f"{owner} tried to defer it"
+                )
+            statuses[q] = PairStatus.DANGEROUS
+        statuses[owner] = PairStatus.SURVIVING
+    else:
+        raise ParseError(f"unknown event {kind!r}")
+
+
 def _construct(
     trace: RunTrace, inst: Instance, K: int, classes: tuple[ClassInfo, ...]
 ) -> BalancedDual:
     """The iterative class-by-class procedure over the trace's cost classes,
     preconditions already vetted."""
     L = lg_plus(K)
+    cost = {i: cls.cost for cls in classes for i in cls.pair_ids}
     charges = {i: Fraction(1) for i in range(trace.k)}
     statuses = {i: PairStatus.UNCLASSIFIED for i in range(trace.k)}
     balls: list[DualBall] = []
@@ -208,8 +257,10 @@ def _construct(
     grow_cap = 60 * L * lg_plus(L)
 
     def log_event(kind: str, **fields):
+        event = {"event": kind, **fields}
+        apply_event(charges, statuses, event, cost)
         total = charged_cost(trace, range(trace.k), charges)
-        log.append({"event": kind, **fields, "charged_total": format_fraction(total)})
+        log.append({**event, "charged_total": format_fraction(total)})
 
     for cls in classes:
         unclassified = [
@@ -220,19 +271,11 @@ def _construct(
         coll, _aux = build_class_duals(trace, inst, list(cls.pair_ids), unclassified)
 
         if coll.skipped:
-            balled = [p for _, p in coll.balls]
-            transfer = sum((charges[q] for q in coll.skipped), Fraction(0))
-            share = transfer / len(balled)
-            for q in coll.skipped:
-                charges[q] = Fraction(0)
-                statuses[q] = PairStatus.CHARGED
-            for p in balled:
-                charges[p] += share
             log_event(
                 "redistribute_skipped",
                 class_index=cls.index,
                 skipped=list(coll.skipped),
-                balled=balled,
+                balled=[p for _, p in coll.balls],
             )
 
         recharged_this_iteration: set[int] = set()
@@ -263,11 +306,6 @@ def _construct(
                         "iteration"
                     )
                 recharged_this_iteration.update(nb.interior)
-                factor = 1 + charges[owner] * cls.cost / sigma
-                for q in nb.interior:
-                    charges[q] *= factor
-                charges[owner] = Fraction(0)
-                statuses[owner] = PairStatus.CHARGED
                 log_event(
                     "delete_and_recharge",
                     class_index=cls.index,
@@ -280,13 +318,6 @@ def _construct(
             sigma2 = charged_cost(trace, nb2.members, charges)
             if sigma2 <= 10 * charges[owner] * cls.cost:
                 # halve and absorb: the halved neighborhood is charged to the owner
-                for q in nb2.members:
-                    if statuses[q] is PairStatus.CHARGED:
-                        continue  # zero charge moves nothing
-                    charges[owner] += charges[q] * trace.costs[q] / cls.cost
-                    charges[q] = Fraction(0)
-                    statuses[q] = PairStatus.CHARGED
-                statuses[owner] = PairStatus.SURVIVING
                 final = halved
                 log_event(
                     "halve_and_absorb",
@@ -314,14 +345,6 @@ def _construct(
                         )
                     current = replace(current, radius=current.radius + step)
                     nbt = ball_neighborhood(inst, current, K, classes, dist)
-                for q in nbt.members:
-                    if statuses[q] is not PairStatus.UNCLASSIFIED:
-                        raise InternalConsistencyError(
-                            f"pair {q} was already classified when ball of pair "
-                            f"{owner} tried to defer it"
-                        )
-                    statuses[q] = PairStatus.DANGEROUS
-                statuses[owner] = PairStatus.SURVIVING
                 final = current
                 log_event(
                     "grow_and_defer",
@@ -616,15 +639,26 @@ def _pair_key(key: str) -> int:
     return int(key)
 
 
-def _step_log(value) -> list[dict]:
-    """The step log, once each step is an object with a canonical `charged_total`."""
-    steps = parse_list(value, "step_log")
-    for i, step in enumerate(steps):
+def replay(classes: tuple[ClassInfo, ...], step_log: list) -> tuple[dict, dict]:
+    """The charges and statuses a step log ends at, from every charge at 1 and
+    every pair unclassified; refuses a step that does not apply, changes the
+    charged total, or logs a `charged_total` other than the replayed one."""
+    cost = {i: cls.cost for cls in classes for i in cls.pair_ids}
+    charges = {i: Fraction(1) for i in cost}
+    statuses = {i: PairStatus.UNCLASSIFIED for i in cost}
+    start = sum(cost.values(), Fraction(0))
+    for i, step in enumerate(step_log):
         try:
-            parse_fraction(step["charged_total"])
-        except (KeyError, TypeError, ParseError) as exc:
-            raise ParseError(f"step_log[{i}] needs a canonical 'charged_total'") from exc
-    return steps
+            apply_event(charges, statuses, step, cost)
+            logged = step["charged_total"]
+        except (GreedysfError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ParseError(f"step_log[{i}] does not apply: {exc!r}") from exc
+        total = sum((charges[q] * cost[q] for q in cost), Fraction(0))
+        if total != start:
+            raise ParseError(f"step_log[{i}] changes the charged total")
+        if logged != format_fraction(total):
+            raise ParseError(f"step_log[{i}] charged_total is not the replayed total")
+    return charges, statuses
 
 
 def obj_to_balanced(obj) -> BalancedDual:
@@ -661,11 +695,12 @@ def obj_to_balanced(obj) -> BalancedDual:
             K=parse_int(obj["K"], "K"),
             statuses=statuses,
             classes=classes,
-            step_log=_step_log(obj.get("step_log", [])),
+            step_log=parse_list(obj["step_log"], "step_log"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed balanced dual certificate: {exc}") from exc
     # the file lists the dangerous pairs beside their statuses; the statuses own them
     if dangerous != bd.dangerous:
         raise ParseError("certificate's dangerous pairs differ from its dangerous statuses")
+    replay(bd.classes, bd.step_log)
     return bd

@@ -56,6 +56,7 @@ from .balanced import (
     build_balanced,
     induction_bound_audit,
     obj_to_balanced,
+    replay,
     verify_balanced,
 )
 from .transforms import (
@@ -394,10 +395,10 @@ def cmd_audit(args) -> int:
         )
         return 0 if ok else 1
     # argparse's choices leave only "conservation"
-    steps = obj_to_balanced(_load_certificate(args.certificate)).step_log
-    # the reader admits canonical totals only, so equal text is equal value
-    ok = len({step["charged_total"] for step in steps}) <= 1
-    print(json.dumps({"conserved": ok, "steps": len(steps)}))
+    bd = obj_to_balanced(_load_certificate(args.certificate))
+    # the reader has replayed every step; the log must end where the file does
+    ok = replay(bd.classes, bd.step_log) == (bd.charges, bd.statuses)
+    print(json.dumps({"conserved": ok, "steps": len(bd.step_log)}))
     return 0 if ok else 1
 
 

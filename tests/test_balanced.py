@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from greedysf.errors import InputError
+from greedysf.errors import InputError, ParseError
 from greedysf.exact import SURVIVOR_CHARGE_CAP_UPPER, lg_plus
 from greedysf.graph import Distances, WeightedGraph
 from greedysf import greedy
 from greedysf.greedy import Rule, run_greedy
-from greedysf.instances import gen_canonical_nested, make_instance
+from greedysf.instances import gen_canonical_nested, gen_random_instance, make_instance
+from greedysf.transforms import to_canonical
 from greedysf.canonical import canonical_report
 from greedysf.balanced import (
     BalancedDual,
@@ -23,10 +24,12 @@ from greedysf.balanced import (
     charged_cost,
     induction_bound_audit,
     obj_to_balanced,
+    replay,
     trace_classes,
     verify_balanced,
 )
 from greedysf.opt import steiner_forest_exact
+from test_opt import assert_scaling_keeps_the_balanced_dual
 
 F = Fraction
 
@@ -288,13 +291,27 @@ def _grow_and_defer_certificate():
     halved ball carries 81 * 198/100 = 160.38 > 160, and 68 border pairs at
     distance exactly 1 outweigh 13 interior ones, forcing one growth step.
     """
-    from greedysf.balanced import _construct
+    inst = _grow_and_defer_star()
+    trace = run_greedy(inst, Rule.RULE3)
+    return inst, trace, _construct_at(4)(trace, inst)
 
+
+def _grow_and_defer_star():
     deep = [(F(99, 100), F(99, 100), None)] * 13
     border = [(F(1), F(1), F(198, 100))] * 68
-    inst = star_instance(16, deep + border)
-    trace = run_greedy(inst, Rule.RULE3)
-    return inst, trace, _construct(trace, inst, K=4, classes=trace_classes(trace))
+    return star_instance(16, deep + border)
+
+
+def _delete_and_recharge_star():
+    # the star of test_construct_delete_and_recharge_branch, built with K=2
+    return star_instance(16, [(F(198, 100), F(198, 100), None)] * 41)
+
+
+def _construct_at(K):
+    """The builder's class-by-class procedure at K, past its preconditions."""
+    from greedysf.balanced import _construct
+
+    return lambda trace, inst: _construct(trace, inst, K=K, classes=trace_classes(trace))
 
 
 def test_construct_grow_and_defer_branch():
@@ -460,6 +477,81 @@ def test_induction_audit_canonical_corpus(M, ppc):
     mass = dict(report.per_class_opt_mass)
     for b in bd.balls:
         assert mass[b.class_index] > 0
+
+
+def test_induction_audit_fails_when_no_ball_holds_optimum_mass():
+    # README's instance: with its balls gone the right side is 0, while the
+    # greedy total on the left is positive, so the bound must not hold
+    inst, trace = canonical_setup(2, 3, 300, seed=2)
+    bd = build_balanced(trace, inst, K=inst.k, delta=300, alpha=1)
+    opt = steiner_forest_exact(inst)
+    assert induction_bound_audit(bd, opt, inst, trace, 300).holds
+    report = induction_bound_audit(replace(bd, balls=[]), opt, inst, trace, 300)
+    assert report.lhs == trace.total_cost > 0
+    assert (report.holds, report.rhs_upper) == (False, 0)
+
+
+# -- the step log replays -------------------------------------------------------------
+
+def _redistribute_skipped_instance():
+    """The canonical instance of test_balanced_certificate_redistributes_a_skipped_pair:
+    a class of its dual skips a pair, whose charge goes to the balled pairs."""
+    raw = gen_random_instance(13, 23, 9, seed=173)
+    return to_canonical(raw, run_greedy(raw, Rule.RULE3), 2, 400)[0]
+
+
+# an input whose dual reaches each event but halve_and_absorb, which every
+# canonical corpus reaches: (instance, builder, delta)
+EVENT_INPUTS = {
+    "redistribute_skipped": (
+        _redistribute_skipped_instance,
+        lambda trace, inst: build_balanced(trace, inst, K=inst.k, delta=400, alpha=4),
+        400,
+    ),
+    "delete_and_recharge": (_delete_and_recharge_star, _construct_at(2), 200),
+    "grow_and_defer": (_grow_and_defer_star, _construct_at(4), 200),
+}
+
+
+def _replays(bd):
+    return replay(bd.classes, bd.step_log) == (bd.charges, bd.statuses)
+
+
+@pytest.mark.parametrize("event", sorted(EVENT_INPUTS))
+def test_step_log_replays_each_event(event):
+    make, build, _ = EVENT_INPUTS[event]
+    inst = make()
+    bd = build(run_greedy(inst, Rule.RULE3), inst)
+    assert event in {e["event"] for e in bd.step_log}
+    assert _replays(bd)
+
+
+@pytest.mark.parametrize(
+    "M,ppc,seed", [(M, ppc, seed) for M, ppc in ((1, 3), (2, 2), (3, 2)) for seed in (0, 1, 2)]
+)
+def test_step_log_replays_on_the_canonical_corpus(M, ppc, seed):
+    K = M * ppc
+    delta = min_delta(K)
+    inst, trace = canonical_setup(M, ppc, delta, seed=seed)
+    assert _replays(build_balanced(trace, inst, K=K, delta=delta, alpha=1))
+
+
+def test_replay_refuses_to_defer_a_classified_pair():
+    # deferring a pair twice is refused in a replayed log as in the builder
+    _, _, bd = _grow_and_defer_certificate()
+    grow = next(i for i, e in enumerate(bd.step_log) if e["event"] == "grow_and_defer")
+    log = bd.step_log[: grow + 1] + [bd.step_log[grow]]
+    with pytest.raises(ParseError, match=rf"step_log\[{grow + 1}\] .* already classified"):
+        replay(bd.classes, log)
+
+
+@pytest.mark.parametrize("event", sorted(EVENT_INPUTS))
+def test_weight_scaling_keeps_each_event(event):
+    # the scaling relation of test_weight_scaling_keeps_the_balanced_dual,
+    # on inputs that reach the three events the canonical corpus does not
+    make, build, delta = EVENT_INPUTS[event]
+    bd = assert_scaling_keeps_the_balanced_dual(make(), build, delta)
+    assert event in {e["event"] for e in bd.step_log}
 
 
 # -- serialization --------------------------------------------------------------------

@@ -763,6 +763,100 @@ def test_unreadable_step_exits_2_naming_the_step(tmp_path, capsys, reader, tampe
     assert step in assert_one_line_error(capsys)
 
 
+def _log_deleted(cert):
+    del cert["step_log"]
+
+
+def _log_of_one_bare_total(cert):
+    cert["step_log"] = [{"charged_total": "1/1"}]
+
+
+def _owner_true(cert):
+    # read as an index, True would replay as pair 1
+    cert["step_log"][0]["owner"] = True
+
+
+def _absorbed_index_string(cert):
+    cert["step_log"][0]["absorbed"] = ["1"]
+
+
+def _owner_absorbs_itself(cert):
+    step = cert["step_log"][0]
+    step["absorbed"] = step["absorbed"] + [step["owner"]]
+
+
+def _total_of_another_step(cert):
+    cert["step_log"][1]["charged_total"] = "1/1"
+
+
+UNREPLAYABLE_LOGS = [
+    (_log_deleted, "'step_log'"),
+    (_log_of_one_bare_total, "step_log[0] does not apply: KeyError('event')"),
+    (_owner_true, "step_log[0] does not apply: ParseError('owner must be an integer')"),
+    (_absorbed_index_string, "step_log[0] does not apply: ParseError('absorbed pair"),
+    (_owner_absorbs_itself, "step_log[0] changes the charged total"),
+    (_total_of_another_step, "step_log[1] charged_total is not the replayed total"),
+]
+
+
+@pytest.mark.parametrize("reader", ["certify", "audit"])
+@pytest.mark.parametrize(
+    "tamper, message", UNREPLAYABLE_LOGS, ids=[t.__name__[1:] for t, _ in UNREPLAYABLE_LOGS]
+)
+def test_unreplayable_step_log_exits_2(tmp_path, capsys, reader, tamper, message):
+    # both readers replay the log through the builder's own charge flow, and
+    # refuse a log that is missing or does not apply to the certificate's classes
+    canon, cert = _balanced_certificate(tmp_path)
+    assert [e["event"] for e in cert["step_log"]] == ["halve_and_absorb"] * 3
+    tamper(cert)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(cert))
+    argv = {
+        "certify": [
+            "certify", "--kind", "balanced", "--instance", canon,
+            "--delta", 200, "--alpha", "1", "--certificate", broken,
+        ],
+        "audit": ["audit", "--kind", "conservation", "--certificate", broken],
+    }[reader]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert message in assert_one_line_error(capsys)
+
+
+def _log_emptied(cert):
+    cert["step_log"] = []
+
+
+def _first_owner_in_the_last_step(cert):
+    cert["step_log"][-1]["owner"] = cert["step_log"][0]["owner"]
+
+
+def _last_absorbed_pair_dropped(cert):
+    step = next(e for e in reversed(cert["step_log"]) if e["absorbed"])
+    step["absorbed"].pop()
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_log_emptied, _first_owner_in_the_last_step, _last_absorbed_pair_dropped],
+    ids=lambda tamper: tamper.__name__[1:],
+)
+def test_conservation_audit_requires_the_log_to_end_at_the_certificate(
+    tmp_path, capsys, tamper
+):
+    # each log replays, conserving its totals, but not to the file's charges
+    # and statuses: the audit fails the certificate
+    _, cert = _balanced_certificate(tmp_path)
+    tamper(cert)
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run_cli("audit", "--kind", "conservation", "--certificate", given) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"conserved": False, "steps": len(cert["step_log"])}
+
+
 def _dangerous_status_unlisted(cert):
     cert["statuses"]["0"] = "dangerous"
 

@@ -571,7 +571,16 @@ def test_weight_scaling_keeps_the_balanced_dual(classes, per_class, seed):
     K = max(classes * per_class, 2**classes)
     delta = 100 * (lg_plus(1) + lg_plus(lg_plus(K)))
     inst = gen_canonical_nested(classes, per_class, delta, seed)
-    bd = build_balanced(run_greedy(inst, Rule.RULE3), inst, K, delta, 1)
+    assert_scaling_keeps_the_balanced_dual(
+        inst, lambda trace, g: build_balanced(trace, g, K, delta, 1), delta
+    )
+
+
+def assert_scaling_keeps_the_balanced_dual(inst, build, delta):
+    """Scaling every weight by c > 0 keeps every ball, status, charge and event
+    of `build(trace, instance)`, and multiplies the radii and the charged
+    totals by c; returns the unscaled dual."""
+    bd = build(run_greedy(inst, Rule.RULE3), inst)
 
     def events(log):
         return [{k: v for k, v in e.items() if k != "charged_total"} for e in log]
@@ -579,7 +588,7 @@ def test_weight_scaling_keeps_the_balanced_dual(classes, per_class, seed):
     for c in (F(7, 3), F(1, 1000), F(97)):
         scaled = _scaled(inst, c)
         trace_c = run_greedy(scaled, Rule.RULE3)
-        bd_c = build_balanced(trace_c, scaled, K, delta, 1)
+        bd_c = build(trace_c, scaled)
         assert [(b.class_index, b.center, b.owner_pair) for b in bd_c.balls] == [
             (b.class_index, b.center, b.owner_pair) for b in bd.balls
         ]
@@ -595,3 +604,4 @@ def test_weight_scaling_keeps_the_balanced_dual(classes, per_class, seed):
             parse_fraction(e["charged_total"]) * c for e in bd.step_log
         ]
         assert verify_balanced(bd_c, trace_c, scaled, delta).all_ok
+    return bd

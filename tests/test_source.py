@@ -286,15 +286,15 @@ def _is_per_vertex_lists(node) -> bool:
     )
 
 
-def _per_vertex_list_sites(node: ast.AST, scope: str):
-    """The dotted scope of each per-vertex list of lists built under `node`."""
+def _sites(predicate, node: ast.AST, scope: str):
+    """The dotted scope of each node under `node` that matches `predicate`."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _per_vertex_list_sites(child, f"{scope}.{child.name}")
+            yield from _sites(predicate, child, f"{scope}.{child.name}")
             continue
-        if _is_per_vertex_lists(child):
+        if predicate(child):
             yield scope
-        yield from _per_vertex_list_sites(child, scope)
+        yield from _sites(predicate, child, scope)
 
 
 def test_one_adjacency():
@@ -305,7 +305,7 @@ def test_one_adjacency():
     sites = [
         site
         for path in sorted(SRC.glob("*.py"))
-        for site in _per_vertex_list_sites(_tree(path), path.stem)
+        for site in _sites(_is_per_vertex_lists, _tree(path), path.stem)
     ]
     assert sites == ["graph.Metric.__init__"]
 
@@ -339,3 +339,23 @@ def test_no_write_past_a_frozen_class():
     # a value cached on an immutable object is the class's own (say a
     # `functools.cached_property`), never written into it from outside
     assert _modules_using(_sets_through_object) == set()
+
+
+def _stores_a_charge_or_status(node) -> bool:
+    # `charges[q] = ...`, `x.statuses[q] += ...`, `del charges[q]`
+    if not (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))):
+        return False
+    table = node.value
+    name = table.id if isinstance(table, ast.Name) else getattr(table, "attr", None)
+    return name in {"charges", "statuses"}
+
+
+def test_one_charge_flow():
+    # the builder, the certificate reader and the conservation audit move
+    # charges and set statuses only through balanced.apply_event
+    sites = {
+        site
+        for path in sorted(SRC.glob("*.py"))
+        for site in _sites(_stores_a_charge_or_status, _tree(path), path.stem)
+    }
+    assert sites == {"balanced.apply_event"}
