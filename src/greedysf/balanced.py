@@ -15,15 +15,21 @@ per ball inspects the charged cost of the smaller pairs that landed near it:
 `apply_event` is the one charge flow: the builder moves charges and sets
 statuses only by applying each event it logs, and `replay` applies a
 certificate's log again from every charge at 1.  Each event conserves the
-total charged cost, and each logged `charged_total` is the replayed total.
+total charged cost, each logged `charged_total` is the replayed total, and
+each step's `class_index` is the class of its pairs.
+
+`obj_to_balanced` parses only a certificate's inputs, derives the rest as the
+builder does, and accepts only a file that `balanced_to_obj` writes back
+unchanged, key for key: the writer is the one definition of the file.
 """
 
 from __future__ import annotations
 
 import enum
-import re
+import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import GreedysfError, InputError, InternalConsistencyError, ParseError
 from .exact import (
@@ -57,7 +63,11 @@ class ClassInfo:
     index: int  # 1-based, most expensive class first
     cost: Fraction
     pair_ids: tuple[int, ...]
-    radius_full: Fraction  # cost / (8 * lg_plus(class size))
+
+    @cached_property
+    def radius_full(self) -> Fraction:
+        """The ball radius cost / (8 * lg_plus(class size)); no field holds it."""
+        return class_radius(self.cost, len(self.pair_ids))
 
 
 @dataclass(frozen=True)
@@ -100,12 +110,7 @@ def trace_classes(trace: RunTrace) -> tuple[ClassInfo, ...]:
     if any(c <= 0 for c in trace.costs):
         raise InputError("canonical traces cannot contain zero-cost pairs")
     return tuple(
-        ClassInfo(
-            index=idx,
-            cost=cost,
-            pair_ids=tuple(ids),
-            radius_full=class_radius(cost, len(ids)),
-        )
+        ClassInfo(index=idx, cost=cost, pair_ids=tuple(ids))
         for idx, (cost, ids) in enumerate(equal_cost_classes(trace), start=1)
     )
 
@@ -632,27 +637,30 @@ def balanced_to_obj(bd: BalancedDual) -> dict:
     }
 
 
-def _pair_key(key: str) -> int:
-    """A pair index written as a JSON object key: a canonical decimal integer."""
-    if not re.fullmatch(r"0|[1-9][0-9]*", key):
-        raise ValueError(f"pair key is not a canonical index: {key!r}")
-    return int(key)
-
-
 def replay(classes: tuple[ClassInfo, ...], step_log: list) -> tuple[dict, dict]:
     """The charges and statuses a step log ends at, from every charge at 1 and
-    every pair unclassified; refuses a step that does not apply, changes the
-    charged total, or logs a `charged_total` other than the replayed one."""
+    every pair unclassified; refuses a step that does not apply, names a class
+    other than its pairs', changes the charged total, or logs a
+    `charged_total` other than the replayed one."""
     cost = {i: cls.cost for cls in classes for i in cls.pair_ids}
+    class_of = _class_of_pair(classes)
     charges = {i: Fraction(1) for i in cost}
     statuses = {i: PairStatus.UNCLASSIFIED for i in cost}
     start = sum(cost.values(), Fraction(0))
     for i, step in enumerate(step_log):
         try:
             apply_event(charges, statuses, step, cost)
+            named = parse_int(step["class_index"], "class_index")
             logged = step["charged_total"]
         except (GreedysfError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise ParseError(f"step_log[{i}] does not apply: {exc!r}") from exc
+        # the event applied, so its pairs are integers
+        if step["event"] == "redistribute_skipped":
+            pairs = step["skipped"] + step["balled"]
+        else:
+            pairs = [step["owner"]]
+        if any(class_of.get(q) != named for q in pairs):
+            raise ParseError(f"step_log[{i}] class_index {named} is not its pairs' class")
         total = sum((charges[q] * cost[q] for q in cost), Fraction(0))
         if total != start:
             raise ParseError(f"step_log[{i}] changes the charged total")
@@ -672,23 +680,21 @@ def obj_to_balanced(obj) -> BalancedDual:
             )
             for i, b in enumerate(parse_list(obj["balls"], "balls"))
         ]
-        charges = {_pair_key(i): parse_fraction(c) for i, c in obj["charges"].items()}
-        statuses = {_pair_key(i): PairStatus(s) for i, s in obj["statuses"].items()}
+        charges = {int(i): parse_fraction(c) for i, c in obj["charges"].items()}
+        statuses = {int(i): PairStatus(s) for i, s in obj["statuses"].items()}
         classes = tuple(
             ClassInfo(
-                index=parse_int(c["index"], f"classes[{j}] index"),
+                index=j + 1,
                 cost=parse_fraction(c["cost"]),
                 pair_ids=tuple(
                     parse_int(q, f"classes[{j}] pair")
                     for q in parse_list(c["pairs"], f"classes[{j}] pairs")
                 ),
-                radius_full=parse_fraction(c["radius_full"]),
             )
             for j, c in enumerate(parse_list(obj["classes"], "classes"))
         )
-        dangerous = {
-            parse_int(q, "dangerous pair") for q in parse_list(obj["dangerous"], "dangerous")
-        }
+        if not all(cls.pair_ids for cls in classes):
+            raise ValueError("a class has no pairs, and so no radius")
         bd = BalancedDual(
             balls=balls,
             charges=charges,
@@ -699,8 +705,11 @@ def obj_to_balanced(obj) -> BalancedDual:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed balanced dual certificate: {exc}") from exc
-    # the file lists the dangerous pairs beside their statuses; the statuses own them
-    if dangerous != bd.dangerous:
-        raise ParseError("certificate's dangerous pairs differ from its dangerous statuses")
     replay(bd.classes, bd.step_log)
+    written = balanced_to_obj(bd)
+    for key in {**written, **obj}:
+        # compared as JSON text: true differs from 1, and a missing key from null
+        texts = [json.dumps(t[key], sort_keys=True) if key in t else None for t in (written, obj)]
+        if texts[0] != texts[1]:
+            raise ParseError(f"certificate field {key!r} is not the writer's form of its inputs")
     return bd

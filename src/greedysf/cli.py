@@ -297,13 +297,15 @@ def _certify_dual_lb(args, inst: Instance, trace) -> tuple[dict, bool]:
         coll, _aux = build_class_duals(trace, sub, pair_ids)
         balls = [(c, coll.radius) for c, _ in coll.balls]
         rep = dual_lower_bound_audit(balls, sub, mates, opt_w)
-        ok = ok and rep.bound_holds and not rep.vacuous
+        # a failed premise leaves the bound unchecked, and so bound_holds false
+        ok = ok and rep.bound_holds
         reports.append(
             {
                 "class_cost": format_fraction(cost),
                 "sum_radii": format_fraction(rep.sum_radii),
                 "bound_holds": rep.bound_holds,
                 "premises_hold": rep.premises_hold,
+                "offenders": list(rep.offenders),
             }
         )
     return {"opt": format_fraction(opt_w), "classes": reports}, ok

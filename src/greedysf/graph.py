@@ -71,7 +71,7 @@ class WeightedGraph:
         metric's scale, and bound is floor(radius * scale)."""
         metric = self.metric
         bound = radius.numerator * metric.scale // radius.denominator
-        return metric.scale, bound, _dijkstra(metric.n, metric.adj, center, bound=bound)
+        return metric.scale, bound, _ball_search(metric.adj, center, bound)
 
     def check_vertex(self, v: int):
         if not (0 <= v < self.n):
@@ -90,7 +90,7 @@ class PathResult:
         return self.distance is not None
 
 
-def _dijkstra(n, adj, source, targets=frozenset(), bound=None):
+def _dijkstra(n, adj, source, targets=frozenset()):
     """Shortest paths with deterministic predecessors.
 
     Ties are resolved toward the smallest predecessor id among vertices
@@ -101,12 +101,7 @@ def _dijkstra(n, adj, source, targets=frozenset(), bound=None):
     vertex of the set `targets` is settled (it runs to exhaustion when the
     set is empty or some target is unreachable); then only the entries of
     the vertices marked done are final, and the targets are among them.
-    With an integer `bound` the search is ball-local instead: it settles only
-    the vertices within distance `bound` and returns just their
-    `{vertex: distance}` map, allocating nothing of size n.
     """
-    if bound is not None:
-        return _ball_search(adj, source, bound)
     dist = [None] * n
     pred = [-1] * n
     done = [False] * n
@@ -137,7 +132,8 @@ def _dijkstra(n, adj, source, targets=frozenset(), bound=None):
 
 
 def _ball_search(adj, source, bound):
-    """Distances of the vertices within `bound` of source, in settling order."""
+    """Distances of the vertices within the integer `bound` of source, in
+    settling order; ball-local, it allocates nothing of size n."""
     settled = {}
     dist = {source: 0}
     heap = [(0, source)]
@@ -481,9 +477,8 @@ class SubdividedGraph(WeightedGraph):
         bound = radius.numerator * scale // radius.denominator
         step = self.eta.numerator * scale // self.eta.denominator
         metric = base.metric
-        near = _dijkstra(
-            base.n, metric.adj, center,
-            bound=radius.numerator * metric.scale // radius.denominator,
+        near = _ball_search(
+            metric.adj, center, radius.numerator * metric.scale // radius.denominator
         )
         # every base distance is a multiple of eta, so whole at this scale
         dist = {u: d * scale // metric.scale for u, d in near.items()}

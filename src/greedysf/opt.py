@@ -331,7 +331,6 @@ class DualLowerBoundReport:
     radii_below_mate_distance: bool
     sum_radii: Fraction
     bound_holds: bool
-    vacuous: bool
     offenders: tuple[str, ...]
 
     @property
@@ -341,6 +340,10 @@ class DualLowerBoundReport:
             and self.centers_are_terminals
             and self.radii_below_mate_distance
         )
+
+    @property
+    def vacuous(self) -> bool:
+        return not self.premises_hold
 
 
 def dual_lower_bound_audit(
@@ -383,6 +386,5 @@ def dual_lower_bound_audit(
         radii_below_mate_distance=radii_ok,
         sum_radii=total,
         bound_holds=(total <= opt_weight) if premises else False,
-        vacuous=not premises,
         offenders=tuple(offenders),
     )

@@ -567,3 +567,58 @@ def test_balanced_roundtrip():
     assert back.balls == bd.balls
     report = verify_balanced(back, trace, inst, 200)
     assert report.all_ok
+
+
+def _corpus_dual(M, ppc, seed):
+    K = M * ppc
+    delta = min_delta(K)
+    inst, trace = canonical_setup(M, ppc, delta, seed=seed)
+    return build_balanced(trace, inst, K=K, delta=delta, alpha=1)
+
+
+def _event_dual(event):
+    make, build, _ = EVENT_INPUTS[event]
+    inst = make()
+    return build(run_greedy(inst, Rule.RULE3), inst)
+
+
+@pytest.mark.parametrize(
+    "make, arg",
+    [
+        *(
+            (_corpus_dual, (M, ppc, seed))
+            for M, ppc in ((1, 3), (2, 2), (3, 2))
+            for seed in (0, 1, 2)
+        ),
+        *((_event_dual, (event,)) for event in sorted(EVENT_INPUTS)),
+    ],
+)
+def test_every_certificate_writes_back_unchanged(make, arg):
+    # the reader is the writer's inverse on every certificate the writer
+    # writes, through all four events and a non-empty dangerous list
+    obj = json.loads(json.dumps(balanced_to_obj(make(*arg))))
+    assert balanced_to_obj(obj_to_balanced(obj)) == obj
+
+
+def test_duplicated_dangerous_pair_is_refused(tmp_path, capsys):
+    # dangerous is derived from the statuses: a file that lists a pair twice
+    # is not the file the writer writes, under either reader
+    from greedysf.cli import main
+    from greedysf.instances import serialize_instance
+
+    inst, _, bd = _grow_and_defer_certificate()
+    obj = balanced_to_obj(bd)
+    assert obj["dangerous"] == list(range(1, 82))
+    obj["dangerous"].insert(0, 1)
+    canon, given = tmp_path / "star.json", tmp_path / "given.json"
+    canon.write_text(serialize_instance(inst))
+    given.write_text(json.dumps(obj))
+    for argv in (
+        ["audit", "--kind", "conservation", "--certificate", given],
+        ["certify", "--kind", "balanced", "--instance", canon, "--K", 4,
+         "--delta", 200, "--alpha", "1", "--certificate", given],
+    ):
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "certificate field 'dangerous'" in err

@@ -115,6 +115,30 @@ def test_certify_class_duals_and_dual_lb(tmp_path):
     assert run_cli("certify", "--kind", "dual-lb", "--instance", inst) == 0
 
 
+def test_certify_dual_lb_says_why_it_fails(tmp_path, monkeypatch):
+    # a repeated ball breaks the disjointness premise: the class fails, and
+    # its entry names the balls, as class-duals does
+    from dataclasses import replace
+
+    from greedysf import cli
+
+    build = cli.build_class_duals
+
+    def repeating(*args):
+        coll, aux = build(*args)
+        return replace(coll, balls=coll.balls[:1] + coll.balls), aux
+
+    monkeypatch.setattr(cli, "build_class_duals", repeating)
+    inst, out = tmp_path / "pet.json", tmp_path / "out.json"
+    run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
+    assert run_cli("certify", "--kind", "dual-lb", "--instance", inst, "--out", out) == 1
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "fail"
+    for entry in payload["classes"]:
+        assert not entry["premises_hold"] and not entry["bound_holds"]
+        assert "balls 0 and 1 share a vertex" in entry["offenders"]
+
+
 def test_certify_balanced_and_corruption(tmp_path):
     inst = tmp_path / "canon.json"
     run_cli(
@@ -789,6 +813,20 @@ def _total_of_another_step(cert):
     cert["step_log"][1]["charged_total"] = "1/1"
 
 
+def _class_index_unknown(cert):
+    cert["step_log"][0]["class_index"] = 99
+
+
+def _class_index_of_the_other_class(cert):
+    step = cert["step_log"][0]
+    assert step["class_index"] == 1
+    step["class_index"] = 2
+
+
+def _class_index_true(cert):
+    cert["step_log"][0]["class_index"] = True
+
+
 UNREPLAYABLE_LOGS = [
     (_log_deleted, "'step_log'"),
     (_log_of_one_bare_total, "step_log[0] does not apply: KeyError('event')"),
@@ -796,6 +834,12 @@ UNREPLAYABLE_LOGS = [
     (_absorbed_index_string, "step_log[0] does not apply: ParseError('absorbed pair"),
     (_owner_absorbs_itself, "step_log[0] changes the charged total"),
     (_total_of_another_step, "step_log[1] charged_total is not the replayed total"),
+    (_class_index_unknown, "step_log[0] class_index 99 is not its pairs' class"),
+    (_class_index_of_the_other_class, "step_log[0] class_index 2 is not its pairs' class"),
+    (
+        _class_index_true,
+        "step_log[0] does not apply: ParseError('class_index must be an integer')",
+    ),
 ]
 
 
@@ -828,7 +872,9 @@ def _log_emptied(cert):
 
 
 def _first_owner_in_the_last_step(cert):
-    cert["step_log"][-1]["owner"] = cert["step_log"][0]["owner"]
+    # with its class, so that the step still names its owner's class
+    first, last = cert["step_log"][0], cert["step_log"][-1]
+    last["owner"], last["class_index"] = first["owner"], first["class_index"]
 
 
 def _last_absorbed_pair_dropped(cert):
@@ -882,7 +928,81 @@ def test_balanced_certificate_dangerous_must_match_statuses(tmp_path, capsys, ta
         "--delta", 300, "--alpha", "1", "--certificate", broken,
     )
     assert rc == 2
-    assert "dangerous pairs differ from its dangerous statuses" in assert_one_line_error(capsys)
+    assert "certificate field 'dangerous'" in assert_one_line_error(capsys)
+
+
+def _unknown_top_level_key(cert):
+    cert["note"] = "x"
+
+
+def _unknown_ball_key(cert):
+    cert["balls"][0]["note"] = "x"
+
+
+def _unknown_class_key(cert):
+    cert["classes"][0]["note"] = "x"
+
+
+def _radius_full_one(cert):
+    cert["classes"][0]["radius_full"] = "1/1"
+
+
+def _class_indices_swapped(cert):
+    first, second = cert["classes"][:2]
+    first["index"], second["index"] = second["index"], first["index"]
+
+
+def _class_without_pairs(cert):
+    cert["classes"].append({"cost": "1/1", "index": 3, "pairs": [], "radius_full": "0/1"})
+
+
+def _rekeyed(table, key, written):
+    def tamper(cert):
+        cert[table][written] = cert[table].pop(key)
+
+    tamper.__name__ = f"_{table}_key_{written!r}"
+    return tamper
+
+
+UNDERIVED_FIELDS = [
+    (_unknown_top_level_key, "certificate field 'note'"),
+    (_unknown_ball_key, "certificate field 'balls'"),
+    (_unknown_class_key, "certificate field 'classes'"),
+    (_radius_full_one, "certificate field 'classes'"),
+    (_class_indices_swapped, "certificate field 'classes'"),
+    (_class_without_pairs, "a class has no pairs"),
+    *(
+        (_rekeyed("charges", key, written), "certificate field 'charges'")
+        for key, written in (("1", "01"), ("1", "+1"), ("1", " 1"), ("1", "0_1"), ("0", "00"))
+    ),
+    (_rekeyed("statuses", "1", "01"), "certificate field 'statuses'"),
+]
+
+
+@pytest.mark.parametrize("reader", ["certify", "audit"])
+@pytest.mark.parametrize(
+    "tamper, message", UNDERIVED_FIELDS, ids=[t.__name__[1:] for t, _ in UNDERIVED_FIELDS]
+)
+def test_balanced_certificate_is_what_the_writer_writes(
+    tmp_path, capsys, reader, tamper, message
+):
+    # the reader parses the inputs and derives the rest with the writer: a
+    # file that the writer would not write back from its inputs is refused,
+    # naming the first field that differs
+    canon, cert = _balanced_certificate(tmp_path)
+    tamper(cert)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(cert))
+    argv = {
+        "certify": [
+            "certify", "--kind", "balanced", "--instance", canon,
+            "--delta", 200, "--alpha", "1", "--certificate", broken,
+        ],
+        "audit": ["audit", "--kind", "conservation", "--certificate", broken],
+    }[reader]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert message in assert_one_line_error(capsys)
 
 
 def test_balanced_certificate_round_trip(tmp_path):

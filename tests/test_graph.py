@@ -235,14 +235,15 @@ def test_ball_search_settles_only_the_closed_ball(monkeypatch):
     chain = [0, *range(2, 1001), 1]
     mid = chain[500]
     settled = []
-    search = graph._dijkstra
+    search = graph._ball_search
 
-    def recording(*args, **kwargs):
-        out = search(*args, **kwargs)
+    def recording(*args):
+        out = search(*args)
         settled.append(set(out))
         return out
 
-    monkeypatch.setattr(graph, "_dijkstra", recording)
+    monkeypatch.setattr(graph, "_ball_search", recording)
+    monkeypatch.setattr(graph, "_dijkstra", lambda *args: settled.append("full search"))
     ball = open_ball(g, mid, F(2))
     assert ball == set(chain[499:502])
     assert settled == [set(chain[498:503])]

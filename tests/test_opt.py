@@ -594,9 +594,11 @@ def assert_scaling_keeps_the_balanced_dual(inst, build, delta):
         ]
         assert [b.radius for b in bd_c.balls] == [b.radius * c for b in bd.balls]
         assert bd_c.classes == tuple(
-            ClassInfo(cls.index, cls.cost * c, cls.pair_ids, cls.radius_full * c)
-            for cls in bd.classes
+            ClassInfo(cls.index, cls.cost * c, cls.pair_ids) for cls in bd.classes
         )
+        assert [cls.radius_full for cls in bd_c.classes] == [
+            cls.radius_full * c for cls in bd.classes
+        ]
         assert bd_c.statuses == bd.statuses and bd_c.dangerous == bd.dangerous
         assert bd_c.charges == bd.charges
         assert events(bd_c.step_log) == events(bd.step_log)

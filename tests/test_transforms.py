@@ -310,13 +310,18 @@ def test_extract_sub_instance_searches_once(monkeypatch):
     dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, inst.k))
     deferred = set(ball_neighborhood(inst, ball, inst.k, classes, dist).interior)
     sources = []
-    search = graph._dijkstra
+    ball_search, full_search = graph._ball_search, graph._dijkstra
 
-    def counting(n, adj, source, *args, **kwargs):
+    def ball_counting(adj, source, bound):
         sources.append(source)
-        return search(n, adj, source, *args, **kwargs)
+        return ball_search(adj, source, bound)
 
-    monkeypatch.setattr(graph, "_dijkstra", counting)
+    def full_counting(n, adj, source, *args):
+        sources.append(source)
+        return full_search(n, adj, source, *args)
+
+    monkeypatch.setattr(graph, "_ball_search", ball_counting)
+    monkeypatch.setattr(graph, "_dijkstra", full_counting)
     extract_sub_instance(inst, trace, ball, deferred, inst.k)
     # one search to the neighborhood's reach answers the cut as well
     assert sources == [ball.center]
