@@ -18,9 +18,11 @@ certificate's log again from every charge at 1.  Each event conserves the
 total charged cost, each logged `charged_total` is the replayed total, and
 each step's `class_index` is the class of its pairs.
 
-`obj_to_balanced` parses only a certificate's inputs, derives the rest as the
-builder does, and accepts only a file that `balanced_to_obj` writes back
-unchanged, key for key: the writer is the one definition of the file.
+`obj_to_balanced` parses only a certificate's inputs, takes the charges and
+statuses from the replay of its log, derives the rest as the builder does,
+and accepts only a file that `balanced_to_obj` writes back unchanged, key for
+key: the writer is the one definition of the file, and the log the one
+definition of its end state.
 """
 
 from __future__ import annotations
@@ -422,6 +424,9 @@ def verify_balanced(
 
     Clause (e) also checks conservation: the charges, weighted by the traced
     costs, must sum to the greedy total, as the initial all-one charges do.
+    A dual read from a file always conserves, since `obj_to_balanced` refuses
+    one whose charges are not its log's replay; the check guards duals built
+    in memory.
     The cap on surviving charges involves 55*e^5 and is compared against a
     certified rational upper bound, so a correct solution is never rejected
     over constant precision.
@@ -670,6 +675,13 @@ def replay(classes: tuple[ClassInfo, ...], step_log: list) -> tuple[dict, dict]:
 
 
 def obj_to_balanced(obj) -> BalancedDual:
+    """The balanced dual a certificate file states.
+
+    Parses only its inputs: `K`, `balls`, each class's `cost` and `pairs`, and
+    `step_log`.  The charges and statuses are where the log's replay ends, as
+    the builder's are, so a file whose stated end state is not its own log's
+    replay is malformed; the file must equal `balanced_to_obj` of the result.
+    """
     try:
         balls = [
             DualBall(
@@ -680,8 +692,6 @@ def obj_to_balanced(obj) -> BalancedDual:
             )
             for i, b in enumerate(parse_list(obj["balls"], "balls"))
         ]
-        charges = {int(i): parse_fraction(c) for i, c in obj["charges"].items()}
-        statuses = {int(i): PairStatus(s) for i, s in obj["statuses"].items()}
         classes = tuple(
             ClassInfo(
                 index=j + 1,
@@ -695,17 +705,14 @@ def obj_to_balanced(obj) -> BalancedDual:
         )
         if not all(cls.pair_ids for cls in classes):
             raise ValueError("a class has no pairs, and so no radius")
-        bd = BalancedDual(
-            balls=balls,
-            charges=charges,
-            K=parse_int(obj["K"], "K"),
-            statuses=statuses,
-            classes=classes,
-            step_log=parse_list(obj["step_log"], "step_log"),
-        )
+        K = parse_int(obj["K"], "K")
+        step_log = parse_list(obj["step_log"], "step_log")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed balanced dual certificate: {exc}") from exc
-    replay(bd.classes, bd.step_log)
+    charges, statuses = replay(classes, step_log)
+    bd = BalancedDual(
+        balls=balls, charges=charges, K=K, statuses=statuses, classes=classes, step_log=step_log
+    )
     written = balanced_to_obj(bd)
     for key in {**written, **obj}:
         # compared as JSON text: true differs from 1, and a missing key from null

@@ -56,7 +56,6 @@ from .balanced import (
     build_balanced,
     induction_bound_audit,
     obj_to_balanced,
-    replay,
     verify_balanced,
 )
 from .transforms import (
@@ -348,9 +347,14 @@ def cmd_transform(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    needed = "certificate" if args.kind == "conservation" else "instance"
+    if args.kind == "conservation":
+        needed, unread = "certificate", "instance"
+    else:
+        needed, unread = "instance", "certificate"
     if getattr(args, needed) is None:
         raise InputError(f"audit --kind {args.kind} needs --{needed}")
+    if getattr(args, unread) is not None:
+        raise InputError(f"audit --kind {args.kind} does not read --{unread}")
     if args.kind == "moore":
         inst = _load_instance(args.instance)
         rep = moore_bound_audit(inst.graph)
@@ -397,11 +401,11 @@ def cmd_audit(args) -> int:
         )
         return 0 if ok else 1
     # argparse's choices leave only "conservation"
+    # the reader refuses a step that changes the total and an end state that
+    # is not the log's replay, so a file it returns conserves
     bd = obj_to_balanced(_load_certificate(args.certificate))
-    # the reader has replayed every step; the log must end where the file does
-    ok = replay(bd.classes, bd.step_log) == (bd.charges, bd.statuses)
-    print(json.dumps({"conserved": ok, "steps": len(bd.step_log)}))
-    return 0 if ok else 1
+    print(json.dumps({"conserved": True, "steps": len(bd.step_log)}))
+    return 0
 
 
 def _bucket(contraction: str) -> str:

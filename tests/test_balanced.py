@@ -449,6 +449,46 @@ def test_verifier_flags_an_unclassified_pair():
     assert report.offenders == (f"pair {victim} is unclassified",)
 
 
+def _charge_nothing(bd):
+    # no balls and every pair charged with charge 0: every per-pair cap holds
+    statuses = {i: PairStatus.CHARGED for i in bd.statuses}
+    return {"balls": [], "statuses": statuses, "charges": {i: F(0) for i in bd.charges}}
+
+
+def _double_a_survivor(bd):
+    victim = next(i for i, s in bd.statuses.items() if s is PairStatus.SURVIVING)
+    return {"charges": {**bd.charges, victim: F(2)}}
+
+
+@pytest.mark.parametrize("tamper", [_charge_nothing, _double_a_survivor])
+def test_verifier_flags_charges_off_the_greedy_total(tamper):
+    # a certificate file with these charges is not its log's replay, and the
+    # reader refuses it; clause (e) still guards a dual built in memory
+    inst, trace = canonical_setup(2, 2, 200)
+    bd = build_balanced(trace, inst, K=4, delta=200, alpha=1)
+    changes = tamper(bd)
+    report = verify_balanced(corrupted(bd, **changes), trace, inst, 200)
+    assert not report.charges_capped
+    carried = sum(c * trace.costs[i] for i, c in changes["charges"].items())
+    assert carried != trace.total_cost
+    assert f"charges carry {carried}, not the greedy total {trace.total_cost}" in report.offenders
+
+
+def test_verifier_flags_survivors_without_a_ball():
+    # every pair surviving at charge 1 with no ball, as before any event: the
+    # surviving charges bound nothing, and clause (a) says so
+    inst, trace = canonical_setup(2, 3, 300, seed=2)
+    bd = build_balanced(trace, inst, K=inst.k, delta=300, alpha=1)
+    statuses = {i: PairStatus.SURVIVING for i in bd.statuses}
+    charges = {i: F(1) for i in bd.charges}
+    report = verify_balanced(
+        corrupted(bd, balls=[], statuses=statuses, charges=charges), trace, inst, 300
+    )
+    assert report.disjoint_and_covered is False
+    assert "surviving pairs without a ball: [0, 1, 2, 3, 4, 5]" in report.offenders
+    assert not any("overlap" in o for o in report.offenders)
+
+
 # -- the bound audit ----------------------------------------------------------------
 
 def test_induction_audit_empty_instance():

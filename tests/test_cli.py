@@ -4,11 +4,13 @@ import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from greedysf import opt
+from greedysf.balanced import balanced_to_obj, obj_to_balanced, replay
 from greedysf.cli import RUN_CSV_FIELDS, main
 from greedysf.exact import format_fraction
 from greedysf.graph import WeightedGraph
@@ -139,7 +141,7 @@ def test_certify_dual_lb_says_why_it_fails(tmp_path, monkeypatch):
         assert "balls 0 and 1 share a vertex" in entry["offenders"]
 
 
-def test_certify_balanced_and_corruption(tmp_path):
+def test_certify_balanced_and_corruption(tmp_path, capsys):
     inst = tmp_path / "canon.json"
     run_cli(
         "generate", "canonical", "--classes", 2, "--per-class", 2,
@@ -155,7 +157,7 @@ def test_certify_balanced_and_corruption(tmp_path):
     )
     payload = json.loads(cert.read_text())
     assert payload["verdict"] == "pass"
-    # corrupt one surviving charge and verify the clause failure is detected
+    # corrupt one surviving charge: the log no longer ends at the file's charges
     broken = payload["certificate"]
     victim = next(
         i for i, s in broken["statuses"].items() if s == "surviving"
@@ -163,11 +165,13 @@ def test_certify_balanced_and_corruption(tmp_path):
     broken["charges"][victim] = "999999/1"
     corrupted = tmp_path / "broken.json"
     corrupted.write_text(json.dumps(broken))
+    capsys.readouterr()
     rc = run_cli(
         "certify", "--kind", "balanced", "--instance", inst,
         "--delta", 200, "--alpha", "1", "--certificate", corrupted,
     )
-    assert rc == 1
+    assert rc == 2
+    assert "certificate field 'charges'" in assert_one_line_error(capsys)
 
 
 def test_certify_induction_bound(tmp_path):
@@ -562,6 +566,27 @@ def test_audit_moore_without_instance_exits_2(capsys):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "kind, unread",
+    [
+        ("conservation", "--instance"),
+        ("moore", "--certificate"),
+        ("rules-compare", "--certificate"),
+        ("potential", "--certificate"),
+    ],
+)
+def test_audit_refuses_a_file_its_kind_does_not_read(tmp_path, capsys, kind, unread):
+    # the file the kind reads is valid; the other one names no file at all,
+    # and a kind that silently ignored it would pass
+    canon, cert = _balanced_certificate(tmp_path)
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(cert))
+    read = ("--certificate", given) if kind == "conservation" else ("--instance", canon)
+    capsys.readouterr()
+    assert run_cli("audit", "--kind", kind, *read, unread, tmp_path / "missing.json") == 2
+    assert f"does not read {unread}" in assert_one_line_error(capsys)
+
+
 def _balanced_certificate(tmp_path, classes=2, delta=200, seed=1):
     canon = tmp_path / "canon.json"
     run_cli(
@@ -694,23 +719,24 @@ def _double_a_survivor(cert):
 
 
 @pytest.mark.parametrize("tamper", [None, _charge_nothing, _double_a_survivor])
-def test_balanced_certificate_must_conserve_the_greedy_total(tmp_path, tamper):
+def test_balanced_certificate_must_conserve_the_greedy_total(tmp_path, capsys, tamper):
+    # the charges are where the conserving log ends, so a file stating others
+    # is malformed; test_balanced pins clause (e)'s offender on these tampers
     canon, cert = _balanced_certificate(tmp_path)
     if tamper is not None:
         tamper(cert)
     given, out = tmp_path / "given.json", tmp_path / "out.json"
     given.write_text(json.dumps(cert))
+    capsys.readouterr()
     rc = run_cli(
         "certify", "--kind", "balanced", "--instance", canon,
         "--delta", 200, "--alpha", "1", "--certificate", given, "--out", out,
     )
-    payload = json.loads(out.read_text())
     if tamper is None:
-        assert (rc, payload["verdict"]) == (0, "pass")
+        assert (rc, json.loads(out.read_text())["verdict"]) == (0, "pass")
         return
-    assert (rc, payload["verdict"]) == (1, "fail")
-    assert payload["clauses"]["charges_capped"] is False
-    assert any("not the greedy total" in o for o in payload["offenders"])
+    assert rc == 2
+    assert "certificate field 'charges'" in assert_one_line_error(capsys)
 
 
 @pytest.mark.parametrize("pairs", [[99], ["x"]])
@@ -882,25 +908,57 @@ def _last_absorbed_pair_dropped(cert):
     step["absorbed"].pop()
 
 
+END_STATE_TAMPERS = [
+    (_log_emptied, "charges"),
+    (_first_owner_in_the_last_step, "statuses"),
+    (_last_absorbed_pair_dropped, "charges"),
+]
+
+
 @pytest.mark.parametrize(
-    "tamper",
-    [_log_emptied, _first_owner_in_the_last_step, _last_absorbed_pair_dropped],
-    ids=lambda tamper: tamper.__name__[1:],
+    "tamper, field", END_STATE_TAMPERS, ids=[t.__name__[1:] for t, _ in END_STATE_TAMPERS]
 )
 def test_conservation_audit_requires_the_log_to_end_at_the_certificate(
-    tmp_path, capsys, tamper
+    tmp_path, capsys, tamper, field
 ):
     # each log replays, conserving its totals, but not to the file's charges
-    # and statuses: the audit fails the certificate
-    _, cert = _balanced_certificate(tmp_path)
+    # and statuses: both readers refuse the file as malformed
+    canon, cert = _balanced_certificate(tmp_path)
     tamper(cert)
     given = tmp_path / "given.json"
     given.write_text(json.dumps(cert))
+    for argv in (
+        ("certify", "--kind", "balanced", "--instance", canon,
+         "--delta", 200, "--alpha", "1", "--certificate", given),
+        ("audit", "--kind", "conservation", "--certificate", given),
+    ):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert f"certificate field {field!r}" in assert_one_line_error(capsys)
+
+
+def test_a_log_that_replays_to_its_file_reaches_the_clauses(tmp_path, capsys):
+    # a forged log whose stated end state is its own replay is well formed:
+    # the audit finds it conserved, and certify fails it on clause (e)
+    canon, cert = _balanced_certificate(tmp_path)
+    bd = obj_to_balanced(cert)
+    _last_absorbed_pair_dropped(cert)
+    charges, statuses = replay(bd.classes, cert["step_log"])
+    bd = replace(bd, charges=charges, statuses=statuses, step_log=cert["step_log"])
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(balanced_to_obj(bd)))
+    out = tmp_path / "out.json"
     capsys.readouterr()
-    assert run_cli("audit", "--kind", "conservation", "--certificate", given) == 1
-    out = capsys.readouterr().out
-    assert out.count("\n") == 1
-    assert json.loads(out) == {"conserved": False, "steps": len(cert["step_log"])}
+    assert run_cli("audit", "--kind", "conservation", "--certificate", forged) == 0
+    assert json.loads(capsys.readouterr().out) == {"conserved": True, "steps": 3}
+    rc = run_cli(
+        "certify", "--kind", "balanced", "--instance", canon,
+        "--delta", 200, "--alpha", "1", "--certificate", forged, "--out", out,
+    )
+    payload = json.loads(out.read_text())
+    assert (rc, payload["verdict"]) == (1, "fail")
+    assert payload["clauses"]["charges_capped"] is False
+    assert "pair 3 is unclassified" in payload["offenders"]
 
 
 def _dangerous_status_unlisted(cert):
@@ -911,12 +969,19 @@ def _charged_pair_listed_dangerous(cert):
     cert["dangerous"] = [3]
 
 
+DANGEROUS_TAMPERS = [
+    (_dangerous_status_unlisted, "statuses"),
+    (_charged_pair_listed_dangerous, "dangerous"),
+]
+
+
 @pytest.mark.parametrize(
-    "tamper", [_dangerous_status_unlisted, _charged_pair_listed_dangerous]
+    "tamper, field", DANGEROUS_TAMPERS, ids=[t.__name__ for t, _ in DANGEROUS_TAMPERS]
 )
-def test_balanced_certificate_dangerous_must_match_statuses(tmp_path, capsys, tamper):
+def test_balanced_certificate_dangerous_must_match_statuses(tmp_path, capsys, tamper, field):
     # an unlisted dangerous pair escapes the cap of clause (e) and the
-    # coverage of clause (a); a listed non-dangerous one is a foreign field
+    # coverage of clause (a); a listed non-dangerous one is a foreign field.
+    # The statuses come first in the writer's order, and are the log's replay
     canon, cert = _balanced_certificate(tmp_path, classes=3, delta=300, seed=7)
     assert cert["dangerous"] == [] and cert["statuses"]["3"] == "charged"
     tamper(cert)
@@ -928,7 +993,7 @@ def test_balanced_certificate_dangerous_must_match_statuses(tmp_path, capsys, ta
         "--delta", 300, "--alpha", "1", "--certificate", broken,
     )
     assert rc == 2
-    assert "certificate field 'dangerous'" in assert_one_line_error(capsys)
+    assert f"certificate field {field!r}" in assert_one_line_error(capsys)
 
 
 def _unknown_top_level_key(cert):
@@ -1072,12 +1137,6 @@ def _second_ball_for_a_survivor(cert):
     cert["balls"].append(dict(cert["balls"][3], center=44))
 
 
-def _starting_state(cert):
-    cert["balls"], cert["dangerous"], cert["step_log"] = [], [], []
-    cert["statuses"] = {i: "surviving" for i in cert["statuses"]}
-    cert["charges"] = {i: "1/1" for i in cert["charges"]}
-
-
 def _ball_in_a_foreign_class(cert):
     cert["balls"][3]["class"] = 1
 
@@ -1087,7 +1146,6 @@ BINDING_PROBES = [
     (_one_ball_deleted, "surviving pairs without a ball: [3]"),
     (_ball_to_a_charged_pair, "ball 3 belongs to pair 5, which is not surviving"),
     (_second_ball_for_a_survivor, "balls 3 and 5 both belong to pair 3"),
-    (_starting_state, "surviving pairs without a ball: [0, 1, 2, 3, 4, 5]"),
     (_ball_in_a_foreign_class, "ball 3 is in class 1, its pair 3 in class 2"),
 ]
 

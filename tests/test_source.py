@@ -359,3 +359,18 @@ def test_one_charge_flow():
         for site in _sites(_stores_a_charge_or_status, _tree(path), path.stem)
     }
     assert sites == {"balanced.apply_event"}
+
+
+def _calls_replay(node) -> bool:
+    # `transforms` binds a local named `replay` but never calls it
+    if not isinstance(node, ast.Call):
+        return False
+    callee = node.func
+    name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+    return name == "replay"
+
+
+def test_only_the_reader_replays():
+    # a certificate's charges and statuses are where its log's replay ends:
+    # the reader replays once, and every other module takes its result
+    assert _modules_using(_calls_replay) == {"balanced"}
