@@ -14,15 +14,17 @@ per ball inspects the charged cost of the smaller pairs that landed near it:
 
 `apply_event` is the one charge flow: the builder moves charges and sets
 statuses only by applying each event it logs, and `replay` applies a
-certificate's log again from every charge at 1.  Each event conserves the
-total charged cost, each logged `charged_total` is the replayed total, and
-each step's `class_index` is the class of its pairs.
+certificate's log again from every charge at 1.  Each step logs the start
+total as its `charged_total`, which every event conserves, and `replay`
+checks each event on the pairs it names; each step's `class_index` is the
+class of its pairs.
 
 `obj_to_balanced` parses only a certificate's inputs, takes the charges and
 statuses from the replay of its log, derives the rest as the builder does,
 and accepts only a file that `balanced_to_obj` writes back unchanged, key for
 key: the writer is the one definition of the file, and the log the one
-definition of its end state.
+definition of its end state.  A grow-and-defer step's `increments` must be
+the growth of its owner's ball.
 """
 
 from __future__ import annotations
@@ -203,40 +205,55 @@ def build_balanced(
     return _construct(trace, inst, K, classes)
 
 
-def apply_event(charges, statuses, event: dict, cost: dict[int, Fraction]) -> None:
+def apply_event(charges, statuses, event: dict, cost: dict[int, Fraction]) -> Fraction:
     """Move the charges and set the statuses for one step-log event.
 
     The one charge flow: the builder applies each event it logs through here
     and `replay` a certificate's log; `cost` maps a pair to its class cost.
+    Returns the change the event made to sum(charge * cost) over the pairs it
+    names.  It moves no other pair's charge, so this is the change to the
+    charged total: 0 for every event the builder logs.
     """
     kind = event["event"]
 
     def pairs(name: str) -> list[int]:
         return [parse_int(q, f"{name} pair") for q in parse_list(event[name], name)]
 
+    def weight(named: set[int]) -> Fraction:
+        return sum((charges[q] * cost[q] for q in named), Fraction(0))
+
     if kind == "redistribute_skipped":
         skipped, balled = pairs("skipped"), pairs("balled")
+        named = {*skipped, *balled}
+        before = weight(named)
         share = sum((charges[q] for q in skipped), Fraction(0)) / len(balled)
         for q in skipped:
             charges[q], statuses[q] = Fraction(0), PairStatus.CHARGED
         for p in balled:
             charges[p] += share
-        return
+        return weight(named) - before
     owner = parse_int(event["owner"], "owner")
     if kind == "delete_and_recharge":
         interior = pairs("interior")
+        named = {owner, *interior}
+        before = weight(named)
         sigma = sum((charges[q] * cost[q] for q in interior), Fraction(0))
         factor = 1 + charges[owner] * cost[owner] / sigma
         for q in interior:
             charges[q] *= factor
         charges[owner], statuses[owner] = Fraction(0), PairStatus.CHARGED
-    elif kind == "halve_and_absorb":
-        for q in pairs("absorbed"):
+        return weight(named) - before
+    if kind == "halve_and_absorb":
+        absorbed = pairs("absorbed")
+        named = {owner, *absorbed}
+        before = weight(named)
+        for q in absorbed:
             if statuses[q] is not PairStatus.CHARGED:  # else zero charge moves nothing
                 charges[owner] += charges[q] * cost[q] / cost[owner]
                 charges[q], statuses[q] = Fraction(0), PairStatus.CHARGED
         statuses[owner] = PairStatus.SURVIVING
-    elif kind == "grow_and_defer":
+        return weight(named) - before
+    if kind == "grow_and_defer":
         for q in pairs("deferred"):
             if statuses[q] is not PairStatus.UNCLASSIFIED:
                 raise InternalConsistencyError(
@@ -245,8 +262,8 @@ def apply_event(charges, statuses, event: dict, cost: dict[int, Fraction]) -> No
                 )
             statuses[q] = PairStatus.DANGEROUS
         statuses[owner] = PairStatus.SURVIVING
-    else:
-        raise ParseError(f"unknown event {kind!r}")
+        return Fraction(0)  # it moves no charge
+    raise ParseError(f"unknown event {kind!r}")
 
 
 def _construct(
@@ -262,12 +279,13 @@ def _construct(
     ball_members: list[frozenset[int]] = []
     log: list[dict] = []
     grow_cap = 60 * L * lg_plus(L)
+    # every event conserves the charged total, so each step logs the start's
+    total = format_fraction(charged_cost(trace, range(trace.k), charges))
 
     def log_event(kind: str, **fields):
         event = {"event": kind, **fields}
         apply_event(charges, statuses, event, cost)
-        total = charged_cost(trace, range(trace.k), charges)
-        log.append({**event, "charged_total": format_fraction(total)})
+        log.append({**event, "charged_total": total})
 
     for cls in classes:
         unclassified = [
@@ -644,17 +662,22 @@ def balanced_to_obj(bd: BalancedDual) -> dict:
 
 def replay(classes: tuple[ClassInfo, ...], step_log: list) -> tuple[dict, dict]:
     """The charges and statuses a step log ends at, from every charge at 1 and
-    every pair unclassified; refuses a step that does not apply, names a class
-    other than its pairs', changes the charged total, or logs a
-    `charged_total` other than the replayed one."""
+    every pair unclassified.
+
+    Refuses a step that does not apply, names a class other than its pairs',
+    changes the charged total, or logs a `charged_total` other than the start
+    total.  Each event is checked on the pairs it names, as `apply_event`
+    reports the change there; it moves no other charge, so a log that passes
+    keeps the start total after every step.
+    """
     cost = {i: cls.cost for cls in classes for i in cls.pair_ids}
     class_of = _class_of_pair(classes)
     charges = {i: Fraction(1) for i in cost}
     statuses = {i: PairStatus.UNCLASSIFIED for i in cost}
-    start = sum(cost.values(), Fraction(0))
+    total = format_fraction(sum(cost.values(), Fraction(0)))
     for i, step in enumerate(step_log):
         try:
-            apply_event(charges, statuses, step, cost)
+            change = apply_event(charges, statuses, step, cost)
             named = parse_int(step["class_index"], "class_index")
             logged = step["charged_total"]
         except (GreedysfError, KeyError, TypeError, ZeroDivisionError) as exc:
@@ -666,12 +689,33 @@ def replay(classes: tuple[ClassInfo, ...], step_log: list) -> tuple[dict, dict]:
             pairs = [step["owner"]]
         if any(class_of.get(q) != named for q in pairs):
             raise ParseError(f"step_log[{i}] class_index {named} is not its pairs' class")
-        total = sum((charges[q] * cost[q] for q in cost), Fraction(0))
-        if total != start:
+        if change:
             raise ParseError(f"step_log[{i}] changes the charged total")
-        if logged != format_fraction(total):
+        if logged != total:
             raise ParseError(f"step_log[{i}] charged_total is not the replayed total")
     return charges, statuses
+
+
+def _check_growth(step_log: list, balls: list[DualBall], classes, K: int) -> None:
+    """Refuse a grow-and-defer step whose `increments` is not the growth of its
+    owner's ball: the builder grows it from r/2 in steps of r/(200*L^2), r the
+    class's `radius_full`.  An owner without a ball is clause (a)'s to flag.
+
+    The log has replayed, so each step's owner and class index are valid.
+    """
+    for i, step in enumerate(step_log):
+        if step["event"] != "grow_and_defer":
+            continue
+        t = step.get("increments")
+        if type(t) is not int or t < 0:
+            raise ParseError(f"step_log[{i}] increments must be a non-negative integer")
+        r = classes[step["class_index"] - 1].radius_full
+        grown = r / 2 + t * r * _slack(K)
+        if any(b.radius != grown for b in balls if b.owner_pair == step["owner"]):
+            raise ParseError(
+                f"step_log[{i}] increments {t} is not the growth of pair "
+                f"{step['owner']}'s ball"
+            )
 
 
 def obj_to_balanced(obj) -> BalancedDual:
@@ -681,6 +725,7 @@ def obj_to_balanced(obj) -> BalancedDual:
     `step_log`.  The charges and statuses are where the log's replay ends, as
     the builder's are, so a file whose stated end state is not its own log's
     replay is malformed; the file must equal `balanced_to_obj` of the result.
+    Each grow-and-defer step's `increments` must be its owner's ball growth.
     """
     try:
         balls = [
@@ -710,6 +755,7 @@ def obj_to_balanced(obj) -> BalancedDual:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed balanced dual certificate: {exc}") from exc
     charges, statuses = replay(classes, step_log)
+    _check_growth(step_log, balls, classes, K)
     bd = BalancedDual(
         balls=balls, charges=charges, K=K, statuses=statuses, classes=classes, step_log=step_log
     )
@@ -718,5 +764,9 @@ def obj_to_balanced(obj) -> BalancedDual:
         # compared as JSON text: true differs from 1, and a missing key from null
         texts = [json.dumps(t[key], sort_keys=True) if key in t else None for t in (written, obj)]
         if texts[0] != texts[1]:
+            if key in ("charges", "statuses"):
+                raise ParseError(
+                    f"certificate field {key!r} is not where its step_log replays to"
+                )
             raise ParseError(f"certificate field {key!r} is not the writer's form of its inputs")
     return bd

@@ -59,8 +59,13 @@ def parse_edge(item, what: str) -> tuple[int, int, Fraction]:
 
 
 def format_fraction(value: Fraction) -> str:
-    """Canonical "num/den" form, inverse of :func:`parse_fraction`."""
-    value = Fraction(value)
+    """Canonical "num/den" form, inverse of :func:`parse_fraction`.
+
+    A `Fraction` is formatted as it is; any other value (an `int`, a `bool`)
+    is converted to one first.
+    """
+    if type(value) is not Fraction:
+        value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -110,8 +115,14 @@ def lg_plus(value) -> int:
     """Integer log surrogate max(1, ceil(log2 value)) used by every threshold.
 
     Defined for value >= 1 only; guards the degenerate size-1 sets that the
-    real-log formulas cannot handle.
+    real-log formulas cannot handle.  A plain `int` (a class size, K) takes
+    the bit length of value - 1, which is ceil(log2 value) for value >= 1;
+    every other value, a `bool` included, goes through `Fraction`.
     """
+    if type(value) is int:
+        if value < 1:
+            raise InputError(f"lg_plus requires value >= 1, got {value}")
+        return max(1, (value - 1).bit_length())
     value = Fraction(value)
     if value < 1:
         raise InputError(f"lg_plus requires value >= 1, got {value}")

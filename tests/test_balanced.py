@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from greedysf.errors import InputError, ParseError
-from greedysf.exact import SURVIVOR_CHARGE_CAP_UPPER, lg_plus
+from greedysf.exact import SURVIVOR_CHARGE_CAP_UPPER, format_fraction, lg_plus
 from greedysf.graph import Distances, WeightedGraph
 from greedysf import greedy
 from greedysf.greedy import Rule, run_greedy
@@ -15,6 +15,7 @@ from greedysf.transforms import to_canonical
 from greedysf.canonical import canonical_report
 from greedysf.balanced import (
     BalancedDual,
+    ClassInfo,
     DualBall,
     PairStatus,
     ball_neighborhood,
@@ -183,7 +184,7 @@ def test_build_balanced_multi_class(M, ppc):
     }
     # charge conservation is replayable from the step log
     totals = {e["charged_total"] for e in bd.step_log}
-    assert len(totals) <= 1
+    assert totals <= {format_fraction(trace.total_cost)}
 
 
 def test_build_balanced_absorbs_planted_pairs():
@@ -576,6 +577,37 @@ def test_step_log_replays_on_the_canonical_corpus(M, ppc, seed):
     assert _replays(build_balanced(trace, inst, K=K, delta=delta, alpha=1))
 
 
+# class 1 is pair 0 at cost 8, class 2 pairs 1..3 at cost 2: the total is 14
+HAND_CLASSES = (ClassInfo(1, F(8), (0,)), ClassInfo(2, F(2), (1, 2, 3)))
+# conserving, and moves charge off pair 3 and onto pair 2, which the events
+# below do not name
+SKIP_PAIR_3 = {
+    "event": "redistribute_skipped", "class_index": 2, "skipped": [3], "balled": [2],
+    "charged_total": "14/1",
+}
+NON_CONSERVING_EVENTS = {
+    "interior_repeats_a_pair": {"event": "delete_and_recharge", "interior": [1, 1]},
+    "interior_names_the_owner": {"event": "delete_and_recharge", "interior": [0, 1]},
+    "owner_absorbs_itself": {"event": "halve_and_absorb", "absorbed": [1, 0]},
+}
+
+
+@pytest.mark.parametrize("after", [0, 1])
+@pytest.mark.parametrize("name", sorted(NON_CONSERVING_EVENTS))
+def test_replay_checks_each_event_on_the_pairs_it_names(name, after):
+    step = {**NON_CONSERVING_EVENTS[name], "class_index": 1, "owner": 0, "charged_total": "14/1"}
+    log = [SKIP_PAIR_3] * after + [step]
+    with pytest.raises(ParseError, match=rf"^step_log\[{after}\] changes the charged total$"):
+        replay(HAND_CLASSES, log)
+
+
+def test_replay_refuses_a_logged_total_other_than_the_start():
+    assert replay(HAND_CLASSES, [SKIP_PAIR_3])[0] == {0: 1, 1: 1, 2: 2, 3: 0}
+    log = [{**SKIP_PAIR_3, "charged_total": "13/1"}]
+    with pytest.raises(ParseError, match=r"step_log\[0\] charged_total is not the replayed total"):
+        replay(HAND_CLASSES, log)
+
+
 def test_replay_refuses_to_defer_a_classified_pair():
     # deferring a pair twice is refused in a replayed log as in the builder
     _, _, bd = _grow_and_defer_certificate()
@@ -609,17 +641,26 @@ def test_balanced_roundtrip():
     assert report.all_ok
 
 
-def _corpus_dual(M, ppc, seed):
+def _corpus_build(M, ppc, seed):
     K = M * ppc
     delta = min_delta(K)
     inst, trace = canonical_setup(M, ppc, delta, seed=seed)
-    return build_balanced(trace, inst, K=K, delta=delta, alpha=1)
+    return trace, build_balanced(trace, inst, K=K, delta=delta, alpha=1)
+
+
+def _event_build(event):
+    make, build, _ = EVENT_INPUTS[event]
+    inst = make()
+    trace = run_greedy(inst, Rule.RULE3)
+    return trace, build(trace, inst)
+
+
+def _corpus_dual(M, ppc, seed):
+    return _corpus_build(M, ppc, seed)[1]
 
 
 def _event_dual(event):
-    make, build, _ = EVENT_INPUTS[event]
-    inst = make()
-    return build(run_greedy(inst, Rule.RULE3), inst)
+    return _event_build(event)[1]
 
 
 @pytest.mark.parametrize(
@@ -638,6 +679,24 @@ def test_every_certificate_writes_back_unchanged(make, arg):
     # writes, through all four events and a non-empty dangerous list
     obj = json.loads(json.dumps(balanced_to_obj(make(*arg))))
     assert balanced_to_obj(obj_to_balanced(obj)) == obj
+
+
+@pytest.mark.parametrize(
+    "build, arg",
+    [
+        *(
+            (_corpus_build, (M, ppc, seed))
+            for M, ppc in ((1, 3), (2, 2), (3, 2))
+            for seed in (0, 1, 2)
+        ),
+        *((_event_build, (event,)) for event in sorted(EVENT_INPUTS)),
+    ],
+)
+def test_every_step_logs_the_greedy_total(build, arg):
+    # the builder logs the start total once per step, since events conserve it
+    trace, bd = build(*arg)
+    assert bd.step_log
+    assert {e["charged_total"] for e in bd.step_log} == {format_fraction(trace.total_cost)}
 
 
 def test_duplicated_dangerous_pair_is_refused(tmp_path, capsys):
@@ -662,3 +721,86 @@ def test_duplicated_dangerous_pair_is_refused(tmp_path, capsys):
         assert main([str(a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "certificate field 'dangerous'" in err
+
+
+def _refusal(obj):
+    with pytest.raises(ParseError) as info:
+        obj_to_balanced(obj)
+    return str(info.value)
+
+
+def test_an_end_state_off_the_log_is_refused_as_such():
+    # charges and statuses are the log's replay, not inputs of the writer
+    obj = json.loads(json.dumps(balanced_to_obj(_corpus_dual(2, 2, 0))))
+    emptied = {**obj, "step_log": []}
+    assert _refusal(emptied) == (
+        "certificate field 'charges' is not where its step_log replays to"
+    )
+    unlisted = {**obj, "statuses": {**obj["statuses"], "0": "dangerous"}}
+    assert _refusal(unlisted) == (
+        "certificate field 'statuses' is not where its step_log replays to"
+    )
+    assert _refusal({**obj, "dangerous": [0]}) == (
+        "certificate field 'dangerous' is not the writer's form of its inputs"
+    )
+
+
+def _grow_and_defer_file(tmp_path, increments):
+    """The grow-and-defer star's instance and certificate, its one growth step
+    logging `increments` (1 as built); returns the paths and the step index."""
+    from greedysf.instances import serialize_instance
+
+    inst, _, bd = _grow_and_defer_certificate()
+    obj = balanced_to_obj(bd)
+    i = next(j for j, e in enumerate(obj["step_log"]) if e["event"] == "grow_and_defer")
+    assert obj["step_log"][i]["increments"] == 1
+    obj["step_log"][i]["increments"] = increments
+    canon, given = tmp_path / "star.json", tmp_path / "given.json"
+    canon.write_text(serialize_instance(inst))
+    given.write_text(json.dumps(obj))
+    return canon, given, i
+
+
+@pytest.mark.parametrize("increments", [0, 2, 7, -1, True, "1", None])
+def test_grow_and_defer_increments_is_its_ball_growth(tmp_path, capsys, increments):
+    # the owner's ball grew from r/2 by `increments` steps of r/(200*L^2)
+    from greedysf.cli import main
+
+    _, given, i = _grow_and_defer_file(tmp_path, increments)
+    capsys.readouterr()
+    assert main(["audit", "--kind", "conservation", "--certificate", str(given)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"step_log[{i}] increments" in err
+
+
+def test_grow_and_defer_owner_without_a_ball_fails_clause_a(tmp_path, capsys):
+    # no ball to bind the increments to: the file reads, and clause (a) fails
+    from greedysf.cli import main
+
+    _, given, _ = _grow_and_defer_file(tmp_path, 1)
+    obj = json.loads(given.read_text())
+    obj["balls"] = [b for b in obj["balls"] if b["pair"] != 0]
+    given.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["audit", "--kind", "conservation", "--certificate", str(given)]) == 0
+    inst, trace, _ = _grow_and_defer_certificate()
+    report = verify_balanced(obj_to_balanced(obj), trace, inst, delta=200)
+    assert not report.disjoint_and_covered
+    assert "surviving pairs without a ball: [0]" in report.offenders
+
+
+def test_negative_increments_is_refused_on_a_ball_it_matches(tmp_path, capsys):
+    # a ball one growth step below r/2 fits r/2 + t*r/(200*L^2) at t = -1
+    from greedysf.cli import main
+
+    _, given, i = _grow_and_defer_file(tmp_path, -1)
+    obj = json.loads(given.read_text())
+    r = F(obj["classes"][0]["radius_full"])
+    ball = next(b for b in obj["balls"] if b["pair"] == 0)
+    ball["radius"] = format_fraction(r / 2 - r / (200 * lg_plus(4) ** 2))
+    given.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["audit", "--kind", "conservation", "--certificate", str(given)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"step_log[{i}] increments must be a non-negative integer" in err

@@ -142,6 +142,31 @@ def test_lg_plus():
         lg_plus(Fraction(1, 2))
 
 
+def test_lg_plus_of_an_int_is_its_fraction_path():
+    # an int takes the bit length, every other value the exact Fraction path
+    near_powers = {2**j + d for j in range(1, 71) for d in (-1, 0, 1)}
+    for n in sorted(set(range(1, 4098)) | near_powers):
+        assert lg_plus(n) == lg_plus(Fraction(n)), n
+    assert lg_plus(True) == 1
+
+
+@pytest.mark.parametrize(
+    "value, shown", [(0, "0"), (-3, "-3"), (Fraction(1, 2), "1/2")]
+)
+def test_lg_plus_below_one_is_refused(value, shown):
+    with pytest.raises(InputError) as info:
+        lg_plus(value)
+    assert str(info.value) == f"lg_plus requires value >= 1, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(5, "5/1"), (True, "1/1"), (Fraction(7, 3), "7/3"), (Fraction(0), "0/1")],
+)
+def test_format_fraction_of_each_type(value, text):
+    assert format_fraction(value) == text
+
+
 def test_frac_decimal():
     assert frac_decimal(Fraction(1, 3)) == "0.333333"
     assert frac_decimal(Fraction(15, 2)) == "7.500000"
