@@ -12,26 +12,24 @@ per ball inspects the charged cost of the smaller pairs that landed near it:
   carries little compared to the interior and defer those pairs as
   dangerous.
 
-`apply_event` is the one charge flow: the builder moves charges and sets
-statuses only by applying each event it logs, and `replay` applies a
-certificate's log again from every charge at 1.  Each step logs the start
-total as its `charged_total`, which every event conserves, and `replay`
-checks each event on the pairs it names; each step's `class_index` is the
-class of its pairs.
+`apply_event` is the one charge flow.  A `BalancedDual` holds `K`, the
+classes, one ball center per ball-placing step and the step log; `replay`
+takes the log from every charge at 1 to its balls, charges and statuses, so
+the builder, which decides on working copies moved by the same events,
+cannot return an end state its log does not reach.  Each step logs the start
+total as its `charged_total`, which every event conserves, and each step's
+`class_index` is the class of its pairs.
 
-`obj_to_balanced` parses only a certificate's inputs, takes the charges and
-statuses from the replay of its log, derives the rest as the builder does,
-and accepts only a file that `balanced_to_obj` writes back unchanged, key for
-key: the writer is the one definition of the file, and the log the one
-definition of its end state.  A grow-and-defer step's `increments` must be
-the growth of its owner's ball.
+`obj_to_balanced` parses only a certificate's inputs and accepts only a file
+that `balanced_to_obj` writes back unchanged, key for key: the writer is the
+one definition of the file, and the log the one definition of its end state.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -95,14 +93,21 @@ class BallNeighborhood:
     interior: tuple[int, ...]  # members minus border
 
 
-@dataclass
+@dataclass(frozen=True)
 class BalancedDual:
-    balls: list[DualBall]
-    charges: dict[int, Fraction]
     K: int
-    statuses: dict[int, PairStatus]
     classes: tuple[ClassInfo, ...]
-    step_log: list[dict] = field(default_factory=list)
+    centers: tuple[int, ...]  # one per ball-placing step, in log order
+    step_log: list[dict]
+
+    @cached_property
+    def end_state(self) -> tuple[list[DualBall], dict[int, Fraction], dict[int, PairStatus]]:
+        """The balls, charges and statuses the step log replays to; no field holds them."""
+        return replay(self.K, self.classes, self.centers, self.step_log)
+
+    balls = property(lambda self: self.end_state[0])
+    charges = property(lambda self: self.end_state[1])
+    statuses = property(lambda self: self.end_state[2])
 
     @property
     def dangerous(self) -> set[int]:
@@ -270,12 +275,13 @@ def _construct(
     trace: RunTrace, inst: Instance, K: int, classes: tuple[ClassInfo, ...]
 ) -> BalancedDual:
     """The iterative class-by-class procedure over the trace's cost classes,
-    preconditions already vetted."""
+    preconditions already vetted; its charges and statuses are working state
+    for its decisions, and the dual it returns replays them from its log."""
     L = lg_plus(K)
     cost = {i: cls.cost for cls in classes for i in cls.pair_ids}
     charges = {i: Fraction(1) for i in range(trace.k)}
     statuses = {i: PairStatus.UNCLASSIFIED for i in range(trace.k)}
-    balls: list[DualBall] = []
+    centers: list[int] = []
     ball_members: list[frozenset[int]] = []
     log: list[dict] = []
     grow_cap = 60 * L * lg_plus(L)
@@ -385,20 +391,13 @@ def _construct(
                     f"ball of pair {final.owner_pair} overlaps ball "
                     f"{prev_idx}; the separation regime should prevent this"
                 )
-            balls.append(final)
+            centers.append(center)
             ball_members.append(members)
 
     leftover = [i for i, s in statuses.items() if s is PairStatus.UNCLASSIFIED]
     if leftover:
         raise InternalConsistencyError(f"pairs never classified: {leftover}")
-    return BalancedDual(
-        balls=balls,
-        charges=charges,
-        K=K,
-        statuses=statuses,
-        classes=classes,
-        step_log=log,
-    )
+    return BalancedDual(K, classes, tuple(centers), log)
 
 
 def _check_targets_fresh(members, statuses, ball: DualBall):
@@ -442,9 +441,9 @@ def verify_balanced(
 
     Clause (e) also checks conservation: the charges, weighted by the traced
     costs, must sum to the greedy total, as the initial all-one charges do.
-    A dual read from a file always conserves, since `obj_to_balanced` refuses
-    one whose charges are not its log's replay; the check guards duals built
-    in memory.
+    A `BalancedDual`'s charges are its log's replay, which refuses a step
+    that changes the total, so this check restates conservation from the
+    charges the clauses read rather than from the log.
     The cap on surviving charges involves 55*e^5 and is compared against a
     certified rational upper bound, so a correct solution is never rejected
     over constant precision.
@@ -660,21 +659,27 @@ def balanced_to_obj(bd: BalancedDual) -> dict:
     }
 
 
-def replay(classes: tuple[ClassInfo, ...], step_log: list) -> tuple[dict, dict]:
-    """The charges and statuses a step log ends at, from every charge at 1 and
-    every pair unclassified.
+def replay(
+    K: int, classes: tuple[ClassInfo, ...], centers: tuple[int, ...], step_log: list
+) -> tuple[list[DualBall], dict[int, Fraction], dict[int, PairStatus]]:
+    """The balls, charges and statuses a step log ends at, from every charge
+    at 1 and every pair unclassified.
 
-    Refuses a step that does not apply, names a class other than its pairs',
-    changes the charged total, or logs a `charged_total` other than the start
-    total.  Each event is checked on the pairs it names, as `apply_event`
-    reports the change there; it moves no other charge, so a log that passes
-    keeps the start total after every step.
+    Each ball-placing step gives its owner a ball in its class around the
+    next of `centers`, of radius r/2, plus t*r/(200*L^2) for grow-and-defer
+    with t its `increments`; r is the class's `radius_full`.  Refuses a step
+    that does not apply, names a class other than its pairs', changes the
+    charged total (over the pairs it names: it moves no other charge), logs
+    a `charged_total` other than the start total or grows by an `increments`
+    that is not a non-negative integer, and a count of centers other than
+    of ball-placing steps.
     """
     cost = {i: cls.cost for cls in classes for i in cls.pair_ids}
     class_of = _class_of_pair(classes)
     charges = {i: Fraction(1) for i in cost}
     statuses = {i: PairStatus.UNCLASSIFIED for i in cost}
     total = format_fraction(sum(cost.values(), Fraction(0)))
+    placed: list[tuple[int, Fraction, int]] = []  # (class, radius, owner) per ball
     for i, step in enumerate(step_log):
         try:
             change = apply_event(charges, statuses, step, cost)
@@ -693,50 +698,36 @@ def replay(classes: tuple[ClassInfo, ...], step_log: list) -> tuple[dict, dict]:
             raise ParseError(f"step_log[{i}] changes the charged total")
         if logged != total:
             raise ParseError(f"step_log[{i}] charged_total is not the replayed total")
-    return charges, statuses
-
-
-def _check_growth(step_log: list, balls: list[DualBall], classes, K: int) -> None:
-    """Refuse a grow-and-defer step whose `increments` is not the growth of its
-    owner's ball: the builder grows it from r/2 in steps of r/(200*L^2), r the
-    class's `radius_full`.  An owner without a ball is clause (a)'s to flag.
-
-    The log has replayed, so each step's owner and class index are valid.
-    """
-    for i, step in enumerate(step_log):
-        if step["event"] != "grow_and_defer":
-            continue
-        t = step.get("increments")
-        if type(t) is not int or t < 0:
-            raise ParseError(f"step_log[{i}] increments must be a non-negative integer")
-        r = classes[step["class_index"] - 1].radius_full
-        grown = r / 2 + t * r * _slack(K)
-        if any(b.radius != grown for b in balls if b.owner_pair == step["owner"]):
-            raise ParseError(
-                f"step_log[{i}] increments {t} is not the growth of pair "
-                f"{step['owner']}'s ball"
-            )
+        if step["event"] in ("halve_and_absorb", "grow_and_defer"):
+            t = step.get("increments") if step["event"] == "grow_and_defer" else 0
+            if type(t) is not int or t < 0:
+                raise ParseError(f"step_log[{i}] increments must be a non-negative integer")
+            r = classes[named - 1].radius_full  # the owner's class, checked above
+            placed.append((named, r / 2 + t * r * _slack(K), step["owner"]))
+    if len(centers) != len(placed):
+        raise ParseError(
+            f"certificate field 'balls' has {len(centers)} centers for "
+            f"{len(placed)} ball-placing steps"
+        )
+    balls = [DualBall(c, center, radius, p) for center, (c, radius, p) in zip(centers, placed)]
+    return balls, charges, statuses
 
 
 def obj_to_balanced(obj) -> BalancedDual:
     """The balanced dual a certificate file states.
 
-    Parses only its inputs: `K`, `balls`, each class's `cost` and `pairs`, and
-    `step_log`.  The charges and statuses are where the log's replay ends, as
-    the builder's are, so a file whose stated end state is not its own log's
-    replay is malformed; the file must equal `balanced_to_obj` of the result.
-    Each grow-and-defer step's `increments` must be its owner's ball growth.
+    Parses only its inputs: `K`, each ball's `center`, each class's `cost` and
+    `pairs`, and `step_log`.  The balls, charges and statuses are where the
+    log's replay ends, as the builder's are, so a file whose stated end state
+    is not its own log's replay is malformed; the file must equal
+    `balanced_to_obj` of the result.  `K` must be at least 1 and not below
+    the pair count, as building requires.
     """
     try:
-        balls = [
-            DualBall(
-                class_index=parse_int(b["class"], f"balls[{i}] class"),
-                center=parse_int(b["center"], f"balls[{i}] center"),
-                radius=parse_fraction(b["radius"]),
-                owner_pair=parse_int(b["pair"], f"balls[{i}] pair"),
-            )
+        centers = tuple(
+            parse_int(b["center"], f"balls[{i}] center")
             for i, b in enumerate(parse_list(obj["balls"], "balls"))
-        ]
+        )
         classes = tuple(
             ClassInfo(
                 index=j + 1,
@@ -754,17 +745,19 @@ def obj_to_balanced(obj) -> BalancedDual:
         step_log = parse_list(obj["step_log"], "step_log")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed balanced dual certificate: {exc}") from exc
-    charges, statuses = replay(classes, step_log)
-    _check_growth(step_log, balls, classes, K)
-    bd = BalancedDual(
-        balls=balls, charges=charges, K=K, statuses=statuses, classes=classes, step_log=step_log
-    )
+    k = sum(len(cls.pair_ids) for cls in classes)
+    if K < max(1, k):
+        raise ParseError(
+            f"certificate field 'K' has K={K}; K must be at least 1 and not below "
+            f"the pair count {k}"
+        )
+    bd = BalancedDual(K, classes, centers, step_log)
     written = balanced_to_obj(bd)
     for key in {**written, **obj}:
         # compared as JSON text: true differs from 1, and a missing key from null
         texts = [json.dumps(t[key], sort_keys=True) if key in t else None for t in (written, obj)]
         if texts[0] != texts[1]:
-            if key in ("charges", "statuses"):
+            if key in ("balls", "charges", "statuses"):
                 raise ParseError(
                     f"certificate field {key!r} is not where its step_log replays to"
                 )

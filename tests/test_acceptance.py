@@ -7,6 +7,7 @@ unless a criterion states a wall-clock budget.
 
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from greedysf.exact import lg_plus
 from greedysf.graph import Distances, default_eta, girth, subdivide_edges
@@ -19,7 +20,6 @@ from greedysf.instances import (
     make_instance,
 )
 from greedysf.balanced import (
-    BalancedDual,
     PairStatus,
     ball_neighborhood,
     build_balanced,
@@ -271,16 +271,18 @@ def test_criterion_07_balanced_duals():
     survivor = next(i for i, s in bd.statuses.items() if s is PairStatus.SURVIVING)
     charges = dict(bd.charges)
     charges[survivor] = F(10**9)
-    broken_charge = BalancedDual(
-        balls=list(bd.balls), charges=charges,
-        K=bd.K, statuses=dict(bd.statuses), classes=bd.classes,
+    # a dual is its log's replay, so a corrupted end state needs a stand-in
+    # holding what the verifier reads
+    broken_charge = SimpleNamespace(
+        K=bd.K, classes=bd.classes, balls=list(bd.balls), charges=charges,
+        statuses=dict(bd.statuses), dangerous=bd.dangerous,
     )
     report = verify_balanced(broken_charge, trace, inst, delta)
     assert not report.charges_capped and report.disjoint_and_covered
 
-    doubled = BalancedDual(
-        balls=list(bd.balls) + [bd.balls[0]], charges=dict(bd.charges),
-        K=bd.K, statuses=dict(bd.statuses), classes=bd.classes,
+    doubled = SimpleNamespace(
+        K=bd.K, classes=bd.classes, balls=list(bd.balls) + [bd.balls[0]],
+        charges=dict(bd.charges), statuses=dict(bd.statuses), dangerous=bd.dangerous,
     )
     report2 = verify_balanced(doubled, trace, inst, delta)
     assert not report2.disjoint_and_covered and report2.charges_capped

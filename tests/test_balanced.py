@@ -2,13 +2,14 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from greedysf.errors import InputError, ParseError
 from greedysf.exact import SURVIVOR_CHARGE_CAP_UPPER, format_fraction, lg_plus
 from greedysf.graph import Distances, WeightedGraph
-from greedysf import greedy
+from greedysf import balanced, greedy
 from greedysf.greedy import Rule, run_greedy
 from greedysf.instances import gen_canonical_nested, gen_random_instance, make_instance
 from greedysf.transforms import to_canonical
@@ -18,6 +19,7 @@ from greedysf.balanced import (
     ClassInfo,
     DualBall,
     PairStatus,
+    apply_event,
     ball_neighborhood,
     neighborhood_reach,
     balanced_to_obj,
@@ -144,6 +146,23 @@ def test_ball_neighborhood_threshold_boundary():
     assert nb.members == (1,)
     assert nb.border == (1,)  # endpoint at exactly r >= r*(1 - eps)
     assert nb.interior == ()
+
+
+def test_ball_neighborhood_thresholds_are_non_strict():
+    # K=2 gives L=1: a ball of radius 200 around vertex 0 has members up to
+    # up = 201 and a border from low = 199.  Pair 1 has an endpoint exactly
+    # at up and the other beyond it: a member, on the border.  Pair 2 has an
+    # endpoint exactly at low and the other at 100: a member, on the border
+    g = WeightedGraph(
+        6, [(0, 1, F(1000)), (0, 2, F(201)), (2, 3, F(50)), (0, 4, F(199)), (0, 5, F(100))]
+    )
+    inst = make_instance(g, [(0, 1), (2, 3), (4, 5)])
+    classes = (ClassInfo(1, F(1000), (0,)), ClassInfo(2, F(1), (1, 2)))
+    ball = DualBall(class_index=1, center=0, radius=F(200), owner_pair=0)
+    assert neighborhood_reach(ball.radius, 2) == 201
+    dist = Distances(g, 0, neighborhood_reach(ball.radius, 2))
+    nb = ball_neighborhood(inst, ball, 2, classes, dist)
+    assert (nb.members, nb.border, nb.interior) == ((1, 2), (1, 2), ())
 
 
 def test_charged_cost():
@@ -333,13 +352,16 @@ def test_construct_grow_and_defer_branch():
 # -- verifier negative controls ----------------------------------------------------
 
 def corrupted(bd, **changes):
-    return BalancedDual(
+    """What the verifier reads of `bd`, with `changes` made: a `BalancedDual`
+    is its log's replay, so a tampered end state needs a stand-in."""
+    statuses = changes.get("statuses", dict(bd.statuses))
+    return SimpleNamespace(
+        K=bd.K,
+        classes=bd.classes,
         balls=changes.get("balls", list(bd.balls)),
         charges=changes.get("charges", dict(bd.charges)),
-        K=bd.K,
-        statuses=changes.get("statuses", dict(bd.statuses)),
-        classes=bd.classes,
-        step_log=list(bd.step_log),
+        statuses=statuses,
+        dangerous={i for i, s in statuses.items() if s is PairStatus.DANGEROUS},
     )
 
 
@@ -463,8 +485,8 @@ def _double_a_survivor(bd):
 
 @pytest.mark.parametrize("tamper", [_charge_nothing, _double_a_survivor])
 def test_verifier_flags_charges_off_the_greedy_total(tamper):
-    # a certificate file with these charges is not its log's replay, and the
-    # reader refuses it; clause (e) still guards a dual built in memory
+    # no log replays to these charges, so only a stand-in carries them;
+    # clause (e) still flags them from the charges alone
     inst, trace = canonical_setup(2, 2, 200)
     bd = build_balanced(trace, inst, K=4, delta=200, alpha=1)
     changes = tamper(bd)
@@ -496,9 +518,7 @@ def test_induction_audit_empty_instance():
     g = WeightedGraph(1, [])
     inst = make_instance(g, [])
     trace = run_greedy(inst, Rule.RULE3)
-    bd = BalancedDual(
-        balls=[], charges={}, K=1, statuses={}, classes=()
-    )
+    bd = BalancedDual(K=1, classes=(), centers=(), step_log=[])
     opt = steiner_forest_exact(inst)
     report = induction_bound_audit(bd, opt, inst, trace, delta=200)
     assert report.holds and report.lhs == 0 and report.rhs_upper == 0
@@ -527,7 +547,7 @@ def test_induction_audit_fails_when_no_ball_holds_optimum_mass():
     bd = build_balanced(trace, inst, K=inst.k, delta=300, alpha=1)
     opt = steiner_forest_exact(inst)
     assert induction_bound_audit(bd, opt, inst, trace, 300).holds
-    report = induction_bound_audit(replace(bd, balls=[]), opt, inst, trace, 300)
+    report = induction_bound_audit(corrupted(bd, balls=[]), opt, inst, trace, 300)
     assert report.lhs == trace.total_cost > 0
     assert (report.holds, report.rhs_upper) == (False, 0)
 
@@ -554,27 +574,38 @@ EVENT_INPUTS = {
 }
 
 
-def _replays(bd):
-    return replay(bd.classes, bd.step_log) == (bd.charges, bd.statuses)
+def _replays(build, monkeypatch):
+    """The dual `build()` returns, and whether the working charges and
+    statuses the builder decided on end where the dual's log replays to."""
+    working = []
+
+    def spy(charges, statuses, event, cost):
+        working[:] = [charges, statuses]
+        return apply_event(charges, statuses, event, cost)
+
+    with monkeypatch.context() as m:
+        m.setattr(balanced, "apply_event", spy)
+        bd = build()
+    return bd, [bd.charges, bd.statuses] == working
 
 
 @pytest.mark.parametrize("event", sorted(EVENT_INPUTS))
-def test_step_log_replays_each_event(event):
+def test_step_log_replays_each_event(event, monkeypatch):
     make, build, _ = EVENT_INPUTS[event]
     inst = make()
-    bd = build(run_greedy(inst, Rule.RULE3), inst)
+    bd, replays = _replays(lambda: build(run_greedy(inst, Rule.RULE3), inst), monkeypatch)
     assert event in {e["event"] for e in bd.step_log}
-    assert _replays(bd)
+    assert replays
 
 
 @pytest.mark.parametrize(
     "M,ppc,seed", [(M, ppc, seed) for M, ppc in ((1, 3), (2, 2), (3, 2)) for seed in (0, 1, 2)]
 )
-def test_step_log_replays_on_the_canonical_corpus(M, ppc, seed):
+def test_step_log_replays_on_the_canonical_corpus(M, ppc, seed, monkeypatch):
     K = M * ppc
     delta = min_delta(K)
     inst, trace = canonical_setup(M, ppc, delta, seed=seed)
-    assert _replays(build_balanced(trace, inst, K=K, delta=delta, alpha=1))
+    assert _replays(lambda: build_balanced(trace, inst, K=K, delta=delta, alpha=1), monkeypatch)[1]
 
 
 # class 1 is pair 0 at cost 8, class 2 pairs 1..3 at cost 2: the total is 14
@@ -598,14 +629,14 @@ def test_replay_checks_each_event_on_the_pairs_it_names(name, after):
     step = {**NON_CONSERVING_EVENTS[name], "class_index": 1, "owner": 0, "charged_total": "14/1"}
     log = [SKIP_PAIR_3] * after + [step]
     with pytest.raises(ParseError, match=rf"^step_log\[{after}\] changes the charged total$"):
-        replay(HAND_CLASSES, log)
+        replay(4, HAND_CLASSES, (), log)
 
 
 def test_replay_refuses_a_logged_total_other_than_the_start():
-    assert replay(HAND_CLASSES, [SKIP_PAIR_3])[0] == {0: 1, 1: 1, 2: 2, 3: 0}
+    assert replay(4, HAND_CLASSES, (), [SKIP_PAIR_3])[1] == {0: 1, 1: 1, 2: 2, 3: 0}
     log = [{**SKIP_PAIR_3, "charged_total": "13/1"}]
     with pytest.raises(ParseError, match=r"step_log\[0\] charged_total is not the replayed total"):
-        replay(HAND_CLASSES, log)
+        replay(4, HAND_CLASSES, (), log)
 
 
 def test_replay_refuses_to_defer_a_classified_pair():
@@ -614,7 +645,7 @@ def test_replay_refuses_to_defer_a_classified_pair():
     grow = next(i for i, e in enumerate(bd.step_log) if e["event"] == "grow_and_defer")
     log = bd.step_log[: grow + 1] + [bd.step_log[grow]]
     with pytest.raises(ParseError, match=rf"step_log\[{grow + 1}\] .* already classified"):
-        replay(bd.classes, log)
+        replay(bd.K, bd.classes, bd.centers, log)
 
 
 @pytest.mark.parametrize("event", sorted(EVENT_INPUTS))
@@ -660,7 +691,11 @@ def _corpus_dual(M, ppc, seed):
 
 
 def _event_dual(event):
-    return _event_build(event)[1]
+    # the white-box builds reach their events at a K below the pair count,
+    # which the reader refuses; the replay reads K only for grow radii, so
+    # at the pair count the file still takes its log through every event
+    trace, bd = _event_build(event)
+    return replace(bd, K=max(bd.K, trace.k))
 
 
 @pytest.mark.parametrize(
@@ -699,13 +734,24 @@ def test_every_step_logs_the_greedy_total(build, arg):
     assert {e["charged_total"] for e in bd.step_log} == {format_fraction(trace.total_cost)}
 
 
+def _grow_and_defer_at_the_pair_count():
+    """The grow-and-defer star built at K = its 82 pairs, the least K a file
+    may state: at L = 7 its one ball still grows once and defers 1..81."""
+    inst = _grow_and_defer_star()
+    trace = run_greedy(inst, Rule.RULE3)
+    bd = _construct_at(inst.k)(trace, inst)
+    assert [(e["event"], e["increments"]) for e in bd.step_log] == [("grow_and_defer", 1)]
+    assert verify_balanced(bd, trace, inst, delta=200).all_ok
+    return inst, trace, bd
+
+
 def test_duplicated_dangerous_pair_is_refused(tmp_path, capsys):
     # dangerous is derived from the statuses: a file that lists a pair twice
     # is not the file the writer writes, under either reader
     from greedysf.cli import main
     from greedysf.instances import serialize_instance
 
-    inst, _, bd = _grow_and_defer_certificate()
+    inst, _, bd = _grow_and_defer_at_the_pair_count()
     obj = balanced_to_obj(bd)
     assert obj["dangerous"] == list(range(1, 82))
     obj["dangerous"].insert(0, 1)
@@ -714,7 +760,7 @@ def test_duplicated_dangerous_pair_is_refused(tmp_path, capsys):
     given.write_text(json.dumps(obj))
     for argv in (
         ["audit", "--kind", "conservation", "--certificate", given],
-        ["certify", "--kind", "balanced", "--instance", canon, "--K", 4,
+        ["certify", "--kind", "balanced", "--instance", canon, "--K", 82,
          "--delta", 200, "--alpha", "1", "--certificate", given],
     ):
         capsys.readouterr()
@@ -730,10 +776,19 @@ def _refusal(obj):
 
 
 def test_an_end_state_off_the_log_is_refused_as_such():
-    # charges and statuses are the log's replay, not inputs of the writer
+    # balls, charges and statuses are the log's replay, not inputs of the
+    # writer; a ball's center is, one per ball-placing step
     obj = json.loads(json.dumps(balanced_to_obj(_corpus_dual(2, 2, 0))))
     emptied = {**obj, "step_log": []}
     assert _refusal(emptied) == (
+        f"certificate field 'balls' has {len(obj['balls'])} centers for 0 ball-placing steps"
+    )
+    halved = [{**obj["balls"][0], "radius": "1/1"}, *obj["balls"][1:]]
+    assert _refusal({**obj, "balls": halved}) == (
+        "certificate field 'balls' is not where its step_log replays to"
+    )
+    uncharged = {**obj, "charges": {**obj["charges"], "0": "0/1"}}
+    assert _refusal(uncharged) == (
         "certificate field 'charges' is not where its step_log replays to"
     )
     unlisted = {**obj, "statuses": {**obj["statuses"], "0": "dangerous"}}
@@ -750,7 +805,7 @@ def _grow_and_defer_file(tmp_path, increments):
     logging `increments` (1 as built); returns the paths and the step index."""
     from greedysf.instances import serialize_instance
 
-    inst, _, bd = _grow_and_defer_certificate()
+    inst, _, bd = _grow_and_defer_at_the_pair_count()
     obj = balanced_to_obj(bd)
     i = next(j for j, e in enumerate(obj["step_log"]) if e["event"] == "grow_and_defer")
     assert obj["step_log"][i]["increments"] == 1
@@ -763,18 +818,27 @@ def _grow_and_defer_file(tmp_path, increments):
 
 @pytest.mark.parametrize("increments", [0, 2, 7, -1, True, "1", None])
 def test_grow_and_defer_increments_is_its_ball_growth(tmp_path, capsys, increments):
-    # the owner's ball grew from r/2 by `increments` steps of r/(200*L^2)
+    # the owner's ball grew from r/2 by `increments` steps of r/(200*L^2): any
+    # other count replays to another ball than the file's, and a count that
+    # is not a non-negative integer grows no ball
     from greedysf.cli import main
 
     _, given, i = _grow_and_defer_file(tmp_path, increments)
     capsys.readouterr()
     assert main(["audit", "--kind", "conservation", "--certificate", str(given)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"step_log[{i}] increments" in err
+    if type(increments) is int and increments >= 0:
+        expected = "certificate field 'balls' is not where its step_log replays to"
+    else:
+        expected = f"step_log[{i}] increments must be a non-negative integer"
+    assert err.count("\n") == 1 and expected in err
 
 
 def test_grow_and_defer_owner_without_a_ball_fails_clause_a(tmp_path, capsys):
-    # no ball to bind the increments to: the file reads, and clause (a) fails
+    # the owner's ball is its step's replay: a file without it has fewer
+    # centers than its log places balls, and is malformed; clause (a)'s
+    # binding is reached by a log that places a second ball for one owner
+    # (test_cli's test_a_second_ball_for_one_owner_reads_and_fails_clause_a)
     from greedysf.cli import main
 
     _, given, _ = _grow_and_defer_file(tmp_path, 1)
@@ -782,11 +846,22 @@ def test_grow_and_defer_owner_without_a_ball_fails_clause_a(tmp_path, capsys):
     obj["balls"] = [b for b in obj["balls"] if b["pair"] != 0]
     given.write_text(json.dumps(obj))
     capsys.readouterr()
-    assert main(["audit", "--kind", "conservation", "--certificate", str(given)]) == 0
-    inst, trace, _ = _grow_and_defer_certificate()
-    report = verify_balanced(obj_to_balanced(obj), trace, inst, delta=200)
-    assert not report.disjoint_and_covered
-    assert "surviving pairs without a ball: [0]" in report.offenders
+    assert main(["audit", "--kind", "conservation", "--certificate", str(given)]) == 2
+    err = capsys.readouterr().err
+    message = "certificate field 'balls' has 0 centers for 1 ball-placing steps"
+    assert err.count("\n") == 1 and message in err
+    assert _refusal(obj) == message
+
+
+def test_a_growth_past_the_full_radius_reads_and_fails_clause_b():
+    # the replay grows a ball by any non-negative count, so clause (b) keeps
+    # its radius in [r/2, r]: r = 2 and L = 7 give 1 + 10**4 * 2/9800
+    inst, trace, bd = _grow_and_defer_at_the_pair_count()
+    forged = replace(bd, step_log=[{**bd.step_log[0], "increments": 10**4}])
+    back = obj_to_balanced(json.loads(json.dumps(balanced_to_obj(forged))))
+    report = verify_balanced(back, trace, inst, delta=200)
+    assert report.radii_in_range is False
+    assert "ball 0 radius 149/49 outside [r/2, r] for its class" in report.offenders
 
 
 def test_negative_increments_is_refused_on_a_ball_it_matches(tmp_path, capsys):
@@ -797,7 +872,7 @@ def test_negative_increments_is_refused_on_a_ball_it_matches(tmp_path, capsys):
     obj = json.loads(given.read_text())
     r = F(obj["classes"][0]["radius_full"])
     ball = next(b for b in obj["balls"] if b["pair"] == 0)
-    ball["radius"] = format_fraction(r / 2 - r / (200 * lg_plus(4) ** 2))
+    ball["radius"] = format_fraction(r / 2 - r / (200 * lg_plus(82) ** 2))
     given.write_text(json.dumps(obj))
     capsys.readouterr()
     assert main(["audit", "--kind", "conservation", "--certificate", str(given)]) == 2

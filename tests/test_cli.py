@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from greedysf import opt
-from greedysf.balanced import balanced_to_obj, obj_to_balanced, replay
+from greedysf.balanced import balanced_to_obj, obj_to_balanced
 from greedysf.cli import RUN_CSV_FIELDS, main
 from greedysf.exact import format_fraction
 from greedysf.graph import WeightedGraph
@@ -721,7 +721,8 @@ def _double_a_survivor(cert):
 @pytest.mark.parametrize("tamper", [None, _charge_nothing, _double_a_survivor])
 def test_balanced_certificate_must_conserve_the_greedy_total(tmp_path, capsys, tamper):
     # the charges are where the conserving log ends, so a file stating others
-    # is malformed; test_balanced pins clause (e)'s offender on these tampers
+    # is malformed; test_balanced pins clause (e)'s offender on these tampers.
+    # With no balls, the file is first short of its log's ball centers
     canon, cert = _balanced_certificate(tmp_path)
     if tamper is not None:
         tamper(cert)
@@ -736,7 +737,8 @@ def test_balanced_certificate_must_conserve_the_greedy_total(tmp_path, capsys, t
         assert (rc, json.loads(out.read_text())["verdict"]) == (0, "pass")
         return
     assert rc == 2
-    assert "certificate field 'charges'" in assert_one_line_error(capsys)
+    field = "balls" if tamper is _charge_nothing else "charges"
+    assert f"certificate field {field!r}" in assert_one_line_error(capsys)
 
 
 @pytest.mark.parametrize("pairs", [[99], ["x"]])
@@ -908,9 +910,10 @@ def _last_absorbed_pair_dropped(cert):
     step["absorbed"].pop()
 
 
+# the first field in the writer's order that the replay changes
 END_STATE_TAMPERS = [
-    (_log_emptied, "charges"),
-    (_first_owner_in_the_last_step, "statuses"),
+    (_log_emptied, "balls"),
+    (_first_owner_in_the_last_step, "balls"),
     (_last_absorbed_pair_dropped, "charges"),
 ]
 
@@ -921,8 +924,8 @@ END_STATE_TAMPERS = [
 def test_conservation_audit_requires_the_log_to_end_at_the_certificate(
     tmp_path, capsys, tamper, field
 ):
-    # each log replays, conserving its totals, but not to the file's charges
-    # and statuses: both readers refuse the file as malformed
+    # each log replays, conserving its totals, but not to the file's balls,
+    # charges and statuses: both readers refuse the file as malformed
     canon, cert = _balanced_certificate(tmp_path)
     tamper(cert)
     given = tmp_path / "given.json"
@@ -943,14 +946,12 @@ def test_a_log_that_replays_to_its_file_reaches_the_clauses(tmp_path, capsys):
     canon, cert = _balanced_certificate(tmp_path)
     bd = obj_to_balanced(cert)
     _last_absorbed_pair_dropped(cert)
-    charges, statuses = replay(bd.classes, cert["step_log"])
-    bd = replace(bd, charges=charges, statuses=statuses, step_log=cert["step_log"])
     forged = tmp_path / "forged.json"
-    forged.write_text(json.dumps(balanced_to_obj(bd)))
+    forged.write_text(json.dumps(balanced_to_obj(replace(bd, step_log=cert["step_log"]))))
     out = tmp_path / "out.json"
     capsys.readouterr()
     assert run_cli("audit", "--kind", "conservation", "--certificate", forged) == 0
-    assert json.loads(capsys.readouterr().out) == {"conserved": True, "steps": 3}
+    assert json.loads(capsys.readouterr().out) == {"steps": 3}
     rc = run_cli(
         "certify", "--kind", "balanced", "--instance", canon,
         "--delta", 200, "--alpha", "1", "--certificate", forged, "--out", out,
@@ -1141,39 +1142,103 @@ def _ball_in_a_foreign_class(cert):
     cert["balls"][3]["class"] = 1
 
 
+OFF_THE_REPLAY = "certificate field 'balls' is not where its step_log replays to"
+
+
+def _centers_for_5(n):
+    return f"certificate field 'balls' has {n} centers for 5 ball-placing steps"
+
+
 BINDING_PROBES = [
-    (_no_balls, "surviving pairs without a ball: [0, 1, 2, 3, 4]"),
-    (_one_ball_deleted, "surviving pairs without a ball: [3]"),
-    (_ball_to_a_charged_pair, "ball 3 belongs to pair 5, which is not surviving"),
-    (_second_ball_for_a_survivor, "balls 3 and 5 both belong to pair 3"),
-    (_ball_in_a_foreign_class, "ball 3 is in class 1, its pair 3 in class 2"),
+    (_no_balls, _centers_for_5(0)),
+    (_one_ball_deleted, _centers_for_5(4)),
+    (_ball_to_a_charged_pair, OFF_THE_REPLAY),
+    (_second_ball_for_a_survivor, _centers_for_5(6)),
+    (_ball_in_a_foreign_class, OFF_THE_REPLAY),
 ]
 
 
-@pytest.mark.parametrize(
-    "tamper, offender", BINDING_PROBES, ids=[t.__name__[1:] for t, _ in BINDING_PROBES]
-)
-def test_balanced_certificate_binds_each_ball_to_a_surviving_owner(
-    tmp_path, tamper, offender
-):
-    # the surviving charges bound the greedy cost only through their balls:
-    # each surviving pair owns one ball in its own class, no other pair owns one
-    canon = tmp_path / "canon.json"
+def _canonical_2x3_certificate(tmp_path):
+    """The flags and the certificate `certify --out` writes for the canonical
+    2x3 instance at delta 300, seed 2: pairs 0..4 survive, one ball each."""
+    canon, written = tmp_path / "canon.json", tmp_path / "written.json"
     run_cli(
         "generate", "canonical", "--classes", 2, "--per-class", 3,
         "--delta", 300, "--seed", 2, "--out", canon,
     )
-    written, given, out = tmp_path / "written.json", tmp_path / "given.json", tmp_path / "out.json"
     flags = ("--kind", "balanced", "--instance", canon, "--delta", 300, "--alpha", "1")
     assert run_cli("certify", *flags, "--out", written) == 0
-    cert = json.loads(written.read_text())["certificate"]
+    return flags, json.loads(written.read_text())["certificate"]
+
+
+@pytest.mark.parametrize(
+    "tamper, message", BINDING_PROBES, ids=[t.__name__[1:] for t, _ in BINDING_PROBES]
+)
+def test_balanced_certificate_binds_each_ball_to_a_surviving_owner(
+    tmp_path, capsys, tamper, message
+):
+    # each ball-placing step gives its owner one ball in its own class, and no
+    # other pair gets one: a file whose balls are not its log's is malformed
+    flags, cert = _canonical_2x3_certificate(tmp_path)
     tamper(cert)
+    given, out = tmp_path / "given.json", tmp_path / "out.json"
     given.write_text(json.dumps(cert))
+    for argv in (
+        ("certify", *flags, "--certificate", given, "--out", out),
+        ("audit", "--kind", "conservation", "--certificate", given),
+    ):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert message in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_a_second_ball_for_one_owner_reads_and_fails_clause_a(tmp_path, capsys):
+    # a log that repeats a survivor's halve-and-absorb step with a second
+    # center is its own file's replay: it conserves, moves no charge, and
+    # gives the owner two balls, which clause (a) refuses.  Vertex 44 lies
+    # outside every ball, so no overlap flags the copy
+    flags, cert = _canonical_2x3_certificate(tmp_path)
+    bd = obj_to_balanced(cert)
+    assert [e["event"] for e in bd.step_log] == ["halve_and_absorb"] * 5
+    assert bd.step_log[3]["owner"] == 3
+    forged = replace(bd, centers=(*bd.centers, 44), step_log=[*bd.step_log, bd.step_log[3]])
+    given, out = tmp_path / "given.json", tmp_path / "out.json"
+    given.write_text(json.dumps(balanced_to_obj(forged)))
+    capsys.readouterr()
+    assert run_cli("audit", "--kind", "conservation", "--certificate", given) == 0
+    assert json.loads(capsys.readouterr().out) == {"steps": 6}
     assert run_cli("certify", *flags, "--certificate", given, "--out", out) == 1
     payload = json.loads(out.read_text())
-    assert payload["clauses"]["disjoint_and_covered"] is False
-    assert offender in payload["offenders"]
-    assert not any("overlap" in o for o in payload["offenders"])
+    assert payload["clauses"] == {
+        "disjoint_and_covered": False,
+        "radii_in_range": True,
+        "interior_cost_capped": True,
+        "border_cost_capped": True,
+        "charges_capped": True,
+    }
+    assert payload["offenders"] == ["balls 3 and 5 both belong to pair 3"]
+
+
+@pytest.mark.parametrize("reader", ["certify", "audit"])
+@pytest.mark.parametrize("K", [0, -5, 3])
+def test_balanced_certificate_k_below_its_pair_count_exits_2(tmp_path, capsys, reader, K):
+    # the replay reads K for grow radii, and building requires 1 <= K and
+    # the pair count (4 here) <= K: a file stating another K is malformed
+    canon, cert = _balanced_certificate(tmp_path)
+    cert["K"] = K
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(cert))
+    argv = {
+        "certify": [
+            "certify", "--kind", "balanced", "--instance", canon,
+            "--delta", 200, "--alpha", "1", "--certificate", given,
+        ],
+        "audit": ["audit", "--kind", "conservation", "--certificate", given],
+    }[reader]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert f"certificate field 'K' has K={K}" in assert_one_line_error(capsys)
 
 
 PETERSEN = ("girth", "--cage", "petersen")
@@ -1360,7 +1425,7 @@ def test_balanced_certificate_redistributes_a_skipped_pair(tmp_path, capsys):
     events = [e["event"] for e in json.loads(cert.read_text())["certificate"]["step_log"]]
     assert events == ["redistribute_skipped", "halve_and_absorb", "halve_and_absorb"]
     assert run_cli("audit", "--kind", "conservation", "--certificate", cert) == 0
-    assert json.loads(capsys.readouterr().out) == {"conserved": True, "steps": 3}
+    assert json.loads(capsys.readouterr().out) == {"steps": 3}
 
 
 def test_report_counts_an_unbounded_contraction_as_inf(tmp_path):

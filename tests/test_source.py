@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -371,6 +372,21 @@ def _calls_replay(node) -> bool:
 
 
 def test_only_the_reader_replays():
-    # a certificate's charges and statuses are where its log's replay ends:
-    # the reader replays once, and every other module takes its result
-    assert _modules_using(_calls_replay) == {"balanced"}
+    # a balanced dual's balls, charges and statuses are where its log's
+    # replay ends: one cached property replays, and everything else reads it
+    sites = [
+        site
+        for path in sorted(SRC.glob("*.py"))
+        for site in _sites(_calls_replay, _tree(path), path.stem)
+    ]
+    assert sites == ["balanced.BalancedDual.end_state"]
+
+
+def test_a_balanced_dual_is_its_step_log():
+    # the end state is no field: the builder and the reader cannot hand the
+    # verifier balls, charges or statuses that the log does not replay to
+    from greedysf.balanced import BalancedDual
+
+    assert [f.name for f in dataclasses.fields(BalancedDual)] == [
+        "K", "classes", "centers", "step_log"
+    ]
