@@ -16,13 +16,13 @@ per ball inspects the charged cost of the smaller pairs that landed near it:
 classes, one ball center per ball-placing step and the step log; `replay`
 takes the log from every charge at 1 to its balls, charges and statuses, so
 the builder, which decides on working copies moved by the same events,
-cannot return an end state its log does not reach.  Each step logs the start
-total as its `charged_total`, which every event conserves, and each step's
-`class_index` is the class of its pairs.
+cannot return an end state its log does not reach.  A step holds `event`,
+`class_index` (the class of its pairs) and its event's `STEP_FIELDS`; the
+writer stamps each with the start total, `charged_total`, which events conserve.
 
 `obj_to_balanced` parses only a certificate's inputs and accepts only a file
-that `balanced_to_obj` writes back unchanged, key for key: the writer is the
-one definition of the file, and the log the one definition of its end state.
+that `balanced_to_obj` writes back unchanged, key for key, steps too: the
+writer is the one definition of the file, and the log of its end state.
 """
 
 from __future__ import annotations
@@ -51,6 +51,15 @@ from .instances import Instance
 from .canonical import canonical_report
 from .dualfit import build_class_duals
 from .opt import SteinerSolution, opt_weight_in_ball
+
+
+# each event's own fields, in logged order after `event` and `class_index`
+STEP_FIELDS = {
+    "redistribute_skipped": ("skipped", "balled"),
+    "delete_and_recharge": ("owner", "interior"),
+    "halve_and_absorb": ("owner", "absorbed"),
+    "grow_and_defer": ("owner", "increments", "deferred"),
+}
 
 
 class PairStatus(enum.Enum):
@@ -220,46 +229,38 @@ def apply_event(charges, statuses, event: dict, cost: dict[int, Fraction]) -> Fr
     charged total: 0 for every event the builder logs.
     """
     kind = event["event"]
+    # the pairs each field names, in logged order; `increments` names none
+    fields = {
+        name: [parse_int(event[name], name)] if name == "owner"
+        else [parse_int(q, f"{name} pair") for q in parse_list(event[name], name)]
+        for name in STEP_FIELDS[kind] if name != "increments"
+    }
+    [owner] = fields.get("owner", [None])
+    named = {q for pairs in fields.values() for q in pairs}
 
-    def pairs(name: str) -> list[int]:
-        return [parse_int(q, f"{name} pair") for q in parse_list(event[name], name)]
+    def weight(pairs) -> Fraction:
+        return sum((charges[q] * cost[q] for q in pairs), Fraction(0))
 
-    def weight(named: set[int]) -> Fraction:
-        return sum((charges[q] * cost[q] for q in named), Fraction(0))
-
+    before = weight(named)
     if kind == "redistribute_skipped":
-        skipped, balled = pairs("skipped"), pairs("balled")
-        named = {*skipped, *balled}
-        before = weight(named)
-        share = sum((charges[q] for q in skipped), Fraction(0)) / len(balled)
-        for q in skipped:
+        share = sum((charges[q] for q in fields["skipped"]), Fraction(0)) / len(fields["balled"])
+        for q in fields["skipped"]:
             charges[q], statuses[q] = Fraction(0), PairStatus.CHARGED
-        for p in balled:
+        for p in fields["balled"]:
             charges[p] += share
-        return weight(named) - before
-    owner = parse_int(event["owner"], "owner")
-    if kind == "delete_and_recharge":
-        interior = pairs("interior")
-        named = {owner, *interior}
-        before = weight(named)
-        sigma = sum((charges[q] * cost[q] for q in interior), Fraction(0))
-        factor = 1 + charges[owner] * cost[owner] / sigma
-        for q in interior:
+    elif kind == "delete_and_recharge":
+        factor = 1 + charges[owner] * cost[owner] / weight(fields["interior"])
+        for q in fields["interior"]:
             charges[q] *= factor
         charges[owner], statuses[owner] = Fraction(0), PairStatus.CHARGED
-        return weight(named) - before
-    if kind == "halve_and_absorb":
-        absorbed = pairs("absorbed")
-        named = {owner, *absorbed}
-        before = weight(named)
-        for q in absorbed:
+    elif kind == "halve_and_absorb":
+        for q in fields["absorbed"]:
             if statuses[q] is not PairStatus.CHARGED:  # else zero charge moves nothing
                 charges[owner] += charges[q] * cost[q] / cost[owner]
                 charges[q], statuses[q] = Fraction(0), PairStatus.CHARGED
         statuses[owner] = PairStatus.SURVIVING
-        return weight(named) - before
-    if kind == "grow_and_defer":
-        for q in pairs("deferred"):
+    else:  # grow_and_defer moves no charge
+        for q in fields["deferred"]:
             if statuses[q] is not PairStatus.UNCLASSIFIED:
                 raise InternalConsistencyError(
                     f"pair {q} was already classified when ball of pair "
@@ -267,8 +268,7 @@ def apply_event(charges, statuses, event: dict, cost: dict[int, Fraction]) -> Fr
                 )
             statuses[q] = PairStatus.DANGEROUS
         statuses[owner] = PairStatus.SURVIVING
-        return Fraction(0)  # it moves no charge
-    raise ParseError(f"unknown event {kind!r}")
+    return weight(named) - before
 
 
 def _construct(
@@ -285,13 +285,11 @@ def _construct(
     ball_members: list[frozenset[int]] = []
     log: list[dict] = []
     grow_cap = 60 * L * lg_plus(L)
-    # every event conserves the charged total, so each step logs the start's
-    total = format_fraction(charged_cost(trace, range(trace.k), charges))
 
-    def log_event(kind: str, **fields):
-        event = {"event": kind, **fields}
-        apply_event(charges, statuses, event, cost)
-        log.append({**event, "charged_total": total})
+    def log_event(kind: str, cls: ClassInfo, *values):
+        step = {"event": kind, "class_index": cls.index, **dict(zip(STEP_FIELDS[kind], values))}
+        apply_event(charges, statuses, step, cost)
+        log.append(step)
 
     for cls in classes:
         unclassified = [
@@ -302,12 +300,7 @@ def _construct(
         coll, _aux = build_class_duals(trace, inst, list(cls.pair_ids), unclassified)
 
         if coll.skipped:
-            log_event(
-                "redistribute_skipped",
-                class_index=cls.index,
-                skipped=list(coll.skipped),
-                balled=[p for _, p in coll.balls],
-            )
+            log_event("redistribute_skipped", cls, list(coll.skipped), [p for _, p in coll.balls])
 
         recharged_this_iteration: set[int] = set()
         reach = neighborhood_reach(cls.radius_full, K)
@@ -337,12 +330,7 @@ def _construct(
                         "iteration"
                     )
                 recharged_this_iteration.update(nb.interior)
-                log_event(
-                    "delete_and_recharge",
-                    class_index=cls.index,
-                    owner=owner,
-                    interior=list(nb.interior),
-                )
+                log_event("delete_and_recharge", cls, owner, list(nb.interior))
                 continue
             halved = replace(ball, radius=cls.radius_full / 2)
             nb2 = ball_neighborhood(inst, halved, K, classes, dist)
@@ -350,12 +338,7 @@ def _construct(
             if sigma2 <= 10 * charges[owner] * cls.cost:
                 # halve and absorb: the halved neighborhood is charged to the owner
                 final = halved
-                log_event(
-                    "halve_and_absorb",
-                    class_index=cls.index,
-                    owner=owner,
-                    absorbed=list(nb2.members),
-                )
+                log_event("halve_and_absorb", cls, owner, list(nb2.members))
             else:
                 # grow and defer: enlarge until the border carries little,
                 # then mark the whole neighborhood dangerous
@@ -377,13 +360,7 @@ def _construct(
                     current = replace(current, radius=current.radius + step)
                     nbt = ball_neighborhood(inst, current, K, classes, dist)
                 final = current
-                log_event(
-                    "grow_and_defer",
-                    class_index=cls.index,
-                    owner=owner,
-                    increments=t,
-                    deferred=list(nbt.members),
-                )
+                log_event("grow_and_defer", cls, owner, t, list(nbt.members))
             members = dist.ball(final.radius)
             prev_idx = first_overlap(ball_members, members)
             if prev_idx is not None:
@@ -439,6 +416,11 @@ def verify_balanced(
     pair owns a ball.  Without this a certificate with no balls at all would
     pass, and the surviving charges would bound nothing.
 
+    The replay places each ball in its owner's class, one per surviving
+    owner, so no dual reaches the unknown pair or class refusal, the class
+    offender or `surviving pairs without a ball`.  They stay as cross-checks
+    of that placement against the trace's classes, made without the replay.
+
     Clause (e) also checks conservation: the charges, weighted by the traced
     costs, must sum to the greedy total, as the initial all-one charges do.
     A `BalancedDual`'s charges are its log's replay, which refuses a step
@@ -459,9 +441,10 @@ def verify_balanced(
         if set(table) != pair_ids:
             raise InputError(f"certificate needs exactly one {name} per pair 0..{trace.k - 1}")
     for i, b in enumerate(bd.balls):
-        known = b.owner_pair in pair_ids and b.class_index in class_by_index
-        if not (known and b.center in range(inst.graph.n)):
-            raise InputError(f"ball {i} names an unknown pair, class or center")
+        if b.center not in range(inst.graph.n):
+            raise InputError(f"ball {i} center {b.center} is not a vertex 0..{inst.graph.n - 1}")
+        if not (b.owner_pair in pair_ids and b.class_index in class_by_index):
+            raise InputError(f"ball {i} names an unknown pair or class")
 
     # one search per ball, to its neighborhood's reach, answers both the
     # membership and the neighborhood questions
@@ -632,6 +615,8 @@ def induction_bound_audit(
 # -- serialization ------------------------------------------------------------
 
 def balanced_to_obj(bd: BalancedDual) -> dict:
+    # every event conserves the charged total, so each step is stamped with the start's
+    total = format_fraction(sum((cls.cost * len(cls.pair_ids) for cls in bd.classes), Fraction(0)))
     return {
         "K": bd.K,
         "balls": [
@@ -655,7 +640,7 @@ def balanced_to_obj(bd: BalancedDual) -> dict:
             }
             for cls in bd.classes
         ],
-        "step_log": bd.step_log,
+        "step_log": [{**step, "charged_total": total} for step in bd.step_log],
     }
 
 
@@ -669,22 +654,19 @@ def replay(
     next of `centers`, of radius r/2, plus t*r/(200*L^2) for grow-and-defer
     with t its `increments`; r is the class's `radius_full`.  Refuses a step
     that does not apply, names a class other than its pairs', changes the
-    charged total (over the pairs it names: it moves no other charge), logs
-    a `charged_total` other than the start total or grows by an `increments`
-    that is not a non-negative integer, and a count of centers other than
-    of ball-placing steps.
+    charged total (over the pairs it names: it moves no other charge) or
+    grows by an `increments` that is not a non-negative integer, and a count
+    of centers other than of ball-placing steps.
     """
     cost = {i: cls.cost for cls in classes for i in cls.pair_ids}
     class_of = _class_of_pair(classes)
     charges = {i: Fraction(1) for i in cost}
     statuses = {i: PairStatus.UNCLASSIFIED for i in cost}
-    total = format_fraction(sum(cost.values(), Fraction(0)))
     placed: list[tuple[int, Fraction, int]] = []  # (class, radius, owner) per ball
     for i, step in enumerate(step_log):
         try:
             change = apply_event(charges, statuses, step, cost)
             named = parse_int(step["class_index"], "class_index")
-            logged = step["charged_total"]
         except (GreedysfError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise ParseError(f"step_log[{i}] does not apply: {exc!r}") from exc
         # the event applied, so its pairs are integers
@@ -696,8 +678,6 @@ def replay(
             raise ParseError(f"step_log[{i}] class_index {named} is not its pairs' class")
         if change:
             raise ParseError(f"step_log[{i}] changes the charged total")
-        if logged != total:
-            raise ParseError(f"step_log[{i}] charged_total is not the replayed total")
         if step["event"] in ("halve_and_absorb", "grow_and_defer"):
             t = step.get("increments") if step["event"] == "grow_and_defer" else 0
             if type(t) is not int or t < 0:
@@ -713,15 +693,26 @@ def replay(
     return balls, charges, statuses
 
 
+def _logged_step(i: int, step) -> dict:
+    """A file step's `event`, `class_index` and event fields; the write-back checks the rest."""
+    event = step.get("event") if isinstance(step, dict) else None
+    if not (isinstance(event, str) and event in STEP_FIELDS):
+        raise ParseError(
+            f"step_log[{i}] is not an object whose event is one of {', '.join(STEP_FIELDS)}"
+        )
+    return {key: step[key] for key in ("event", "class_index", *STEP_FIELDS[event]) if key in step}
+
+
 def obj_to_balanced(obj) -> BalancedDual:
     """The balanced dual a certificate file states.
 
     Parses only its inputs: `K`, each ball's `center`, each class's `cost` and
-    `pairs`, and `step_log`.  The balls, charges and statuses are where the
-    log's replay ends, as the builder's are, so a file whose stated end state
-    is not its own log's replay is malformed; the file must equal
-    `balanced_to_obj` of the result.  `K` must be at least 1 and not below
-    the pair count, as building requires.
+    `pairs`, and each step's `event`, `class_index` and `STEP_FIELDS`.  The
+    balls, charges and statuses are where the log's replay ends, as the
+    builder's are, so a file whose stated end state is not its own log's
+    replay is malformed; the file, each step too, must equal `balanced_to_obj`
+    of the result.  `K` must be at least 1 and not below the pair count, as
+    building requires.
     """
     try:
         centers = tuple(
@@ -742,7 +733,9 @@ def obj_to_balanced(obj) -> BalancedDual:
         if not all(cls.pair_ids for cls in classes):
             raise ValueError("a class has no pairs, and so no radius")
         K = parse_int(obj["K"], "K")
-        step_log = parse_list(obj["step_log"], "step_log")
+        step_log = [
+            _logged_step(i, step) for i, step in enumerate(parse_list(obj["step_log"], "step_log"))
+        ]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed balanced dual certificate: {exc}") from exc
     k = sum(len(cls.pair_ids) for cls in classes)
@@ -761,5 +754,8 @@ def obj_to_balanced(obj) -> BalancedDual:
                 raise ParseError(
                     f"certificate field {key!r} is not where its step_log replays to"
                 )
+            if key == "step_log":  # a written step per file step: name the first that differs
+                i = next(i for i, step in enumerate(written[key]) if step != obj[key][i])
+                key = f"step_log[{i}]"
             raise ParseError(f"certificate field {key!r} is not the writer's form of its inputs")
     return bd

@@ -22,6 +22,7 @@ from greedysf.instances import (
 from greedysf.balanced import (
     PairStatus,
     ball_neighborhood,
+    balanced_to_obj,
     build_balanced,
     induction_bound_audit,
     neighborhood_reach,
@@ -264,7 +265,7 @@ def test_criterion_07_balanced_duals():
         assert report.all_ok, (M, ppc, report.offenders)
         assert all(s is not PairStatus.UNCLASSIFIED for s in bd.statuses.values())
         # conservation: the logged charged total never moves
-        assert len({e["charged_total"] for e in bd.step_log}) <= 1
+        assert len({e["charged_total"] for e in balanced_to_obj(bd)["step_log"]}) <= 1
 
     # negative controls on the last run: each corruption fails its clause
     M, ppc, delta, inst, trace, bd = runs[-1]

@@ -19,6 +19,7 @@ from greedysf.balanced import (
     ClassInfo,
     DualBall,
     PairStatus,
+    STEP_FIELDS,
     apply_event,
     ball_neighborhood,
     neighborhood_reach,
@@ -202,7 +203,7 @@ def test_build_balanced_multi_class(M, ppc):
         PairStatus.DANGEROUS,
     }
     # charge conservation is replayable from the step log
-    totals = {e["charged_total"] for e in bd.step_log}
+    totals = {e["charged_total"] for e in balanced_to_obj(bd)["step_log"]}
     assert totals <= {format_fraction(trace.total_cost)}
 
 
@@ -296,7 +297,7 @@ def test_construct_delete_and_recharge_branch():
     # the deleted ball's cost moved onto the interior pairs, conserving total
     boosted = F(1) + F(16) / (41 * F(396, 100))
     assert all(bd.charges[i] == boosted for i in range(1, 42))
-    assert len({e["charged_total"] for e in bd.step_log}) == 1
+    assert len({e["charged_total"] for e in balanced_to_obj(bd)["step_log"]}) == 1
     # the small class then places its own balls and survives
     assert all(bd.statuses[i] is PairStatus.SURVIVING for i in range(1, 42))
     report = verify_balanced(bd, trace, inst, delta=200)
@@ -612,10 +613,7 @@ def test_step_log_replays_on_the_canonical_corpus(M, ppc, seed, monkeypatch):
 HAND_CLASSES = (ClassInfo(1, F(8), (0,)), ClassInfo(2, F(2), (1, 2, 3)))
 # conserving, and moves charge off pair 3 and onto pair 2, which the events
 # below do not name
-SKIP_PAIR_3 = {
-    "event": "redistribute_skipped", "class_index": 2, "skipped": [3], "balled": [2],
-    "charged_total": "14/1",
-}
+SKIP_PAIR_3 = {"event": "redistribute_skipped", "class_index": 2, "skipped": [3], "balled": [2]}
 NON_CONSERVING_EVENTS = {
     "interior_repeats_a_pair": {"event": "delete_and_recharge", "interior": [1, 1]},
     "interior_names_the_owner": {"event": "delete_and_recharge", "interior": [0, 1]},
@@ -626,17 +624,21 @@ NON_CONSERVING_EVENTS = {
 @pytest.mark.parametrize("after", [0, 1])
 @pytest.mark.parametrize("name", sorted(NON_CONSERVING_EVENTS))
 def test_replay_checks_each_event_on_the_pairs_it_names(name, after):
-    step = {**NON_CONSERVING_EVENTS[name], "class_index": 1, "owner": 0, "charged_total": "14/1"}
+    step = {**NON_CONSERVING_EVENTS[name], "class_index": 1, "owner": 0}
     log = [SKIP_PAIR_3] * after + [step]
     with pytest.raises(ParseError, match=rf"^step_log\[{after}\] changes the charged total$"):
         replay(4, HAND_CLASSES, (), log)
 
 
-def test_replay_refuses_a_logged_total_other_than_the_start():
+def test_reader_refuses_a_logged_total_other_than_the_start():
+    # the replay reads no logged total: the writer stamps the start total on
+    # every step, and the reader refuses a file step stamped with another
     assert replay(4, HAND_CLASSES, (), [SKIP_PAIR_3])[1] == {0: 1, 1: 1, 2: 2, 3: 0}
-    log = [{**SKIP_PAIR_3, "charged_total": "13/1"}]
-    with pytest.raises(ParseError, match=r"step_log\[0\] charged_total is not the replayed total"):
-        replay(4, HAND_CLASSES, (), log)
+    obj = json.loads(json.dumps(balanced_to_obj(BalancedDual(4, HAND_CLASSES, (), [SKIP_PAIR_3]))))
+    assert obj["step_log"] == [{**SKIP_PAIR_3, "charged_total": "14/1"}]
+    assert obj_to_balanced(obj).step_log == [SKIP_PAIR_3]
+    obj["step_log"][0]["charged_total"] = "13/1"
+    assert _refusal(obj) == "certificate field 'step_log[0]' is not the writer's form of its inputs"
 
 
 def test_replay_refuses_to_defer_a_classified_pair():
@@ -716,22 +718,47 @@ def test_every_certificate_writes_back_unchanged(make, arg):
     assert balanced_to_obj(obj_to_balanced(obj)) == obj
 
 
-@pytest.mark.parametrize(
-    "build, arg",
-    [
-        *(
-            (_corpus_build, (M, ppc, seed))
-            for M, ppc in ((1, 3), (2, 2), (3, 2))
-            for seed in (0, 1, 2)
-        ),
-        *((_event_build, (event,)) for event in sorted(EVENT_INPUTS)),
-    ],
-)
+# the canonical corpus and the event inputs, as (builder, its arguments)
+BUILDS = [
+    *(
+        (_corpus_build, (M, ppc, seed))
+        for M, ppc in ((1, 3), (2, 2), (3, 2))
+        for seed in (0, 1, 2)
+    ),
+    *((_event_build, (event,)) for event in sorted(EVENT_INPUTS)),
+]
+
+
+@pytest.mark.parametrize("build, arg", BUILDS)
+def test_every_logged_step_holds_its_event_fields(build, arg):
+    # a step is `event`, `class_index` and its event's fields, in that order:
+    # the writer adds the stamp, and the reader keeps no other key
+    _, bd = build(*arg)
+    for step in bd.step_log:
+        assert list(step) == ["event", "class_index", *STEP_FIELDS[step["event"]]]
+
+
+@pytest.mark.parametrize("build, arg", BUILDS)
+def test_the_replay_places_what_the_cross_checks_check(build, arg):
+    # verify_balanced keeps three checks that no replayed dual reaches, as
+    # cross-checks of the replay's ball placement against the classes: each
+    # ball is in its owner's class, each surviving pair owns a ball, and the
+    # charges and statuses are keyed by exactly the classes' pairs
+    _, bd = build(*arg)
+    class_of = {i: cls.index for cls in bd.classes for i in cls.pair_ids}
+    assert all(b.class_index == class_of[b.owner_pair] for b in bd.balls)
+    surviving = {i for i, s in bd.statuses.items() if s is PairStatus.SURVIVING}
+    assert surviving <= {b.owner_pair for b in bd.balls}
+    assert set(bd.charges) == set(bd.statuses) == set(class_of)
+
+
+@pytest.mark.parametrize("build, arg", BUILDS)
 def test_every_step_logs_the_greedy_total(build, arg):
-    # the builder logs the start total once per step, since events conserve it
+    # the writer stamps the start total on every step, since events conserve it
     trace, bd = build(*arg)
     assert bd.step_log
-    assert {e["charged_total"] for e in bd.step_log} == {format_fraction(trace.total_cost)}
+    written = balanced_to_obj(bd)["step_log"]
+    assert {e["charged_total"] for e in written} == {format_fraction(trace.total_cost)}
 
 
 def _grow_and_defer_at_the_pair_count():
@@ -767,6 +794,46 @@ def test_duplicated_dangerous_pair_is_refused(tmp_path, capsys):
         assert main([str(a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "certificate field 'dangerous'" in err
+
+
+def _halve_and_absorb_build():
+    inst, trace = canonical_setup(2, 2, 200)
+    return inst, trace, build_balanced(trace, inst, K=4, delta=200, alpha=1)
+
+
+@pytest.mark.parametrize(
+    "build, event, stray",
+    [
+        (_halve_and_absorb_build, "halve_and_absorb", "increments"),
+        (_grow_and_defer_at_the_pair_count, "grow_and_defer", "absorbed"),
+    ],
+)
+def test_a_step_with_a_stray_key_is_refused_naming_the_step(
+    tmp_path, capsys, build, event, stray
+):
+    # a field of another event's step: the reader keeps only the step's own
+    # fields, so the write-back differs at that step, under either reader
+    from greedysf.cli import main
+    from greedysf.instances import serialize_instance
+
+    inst, _, bd = build()
+    obj = balanced_to_obj(bd)
+    i = max(j for j, e in enumerate(obj["step_log"]) if e["event"] == event)
+    assert stray not in obj["step_log"][i]
+    obj["step_log"][i][stray] = []
+    canon, given = tmp_path / "inst.json", tmp_path / "given.json"
+    canon.write_text(serialize_instance(inst))
+    given.write_text(json.dumps(obj))
+    for argv in (
+        ["audit", "--kind", "conservation", "--certificate", given],
+        ["certify", "--kind", "balanced", "--instance", canon, "--K", bd.K,
+         "--delta", 200, "--alpha", "1", "--certificate", given],
+    ):
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        message = f"certificate field 'step_log[{i}]' is not the writer's form of its inputs"
+        assert err.count("\n") == 1 and message in err
 
 
 def _refusal(obj):

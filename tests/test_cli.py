@@ -855,18 +855,35 @@ def _class_index_true(cert):
     cert["step_log"][0]["class_index"] = True
 
 
+def _stray_keys_in_two_steps(cert):
+    # a note, and a field of another event: the reader keeps neither
+    cert["step_log"][0]["note"] = "x"
+    cert["step_log"][1]["increments"] = 5
+
+
 UNREPLAYABLE_LOGS = [
     (_log_deleted, "'step_log'"),
-    (_log_of_one_bare_total, "step_log[0] does not apply: KeyError('event')"),
+    (
+        _log_of_one_bare_total,
+        "step_log[0] is not an object whose event is one of redistribute_skipped, "
+        "delete_and_recharge, halve_and_absorb, grow_and_defer",
+    ),
     (_owner_true, "step_log[0] does not apply: ParseError('owner must be an integer')"),
     (_absorbed_index_string, "step_log[0] does not apply: ParseError('absorbed pair"),
     (_owner_absorbs_itself, "step_log[0] changes the charged total"),
-    (_total_of_another_step, "step_log[1] charged_total is not the replayed total"),
+    (
+        _total_of_another_step,
+        "certificate field 'step_log[1]' is not the writer's form of its inputs",
+    ),
     (_class_index_unknown, "step_log[0] class_index 99 is not its pairs' class"),
     (_class_index_of_the_other_class, "step_log[0] class_index 2 is not its pairs' class"),
     (
         _class_index_true,
         "step_log[0] does not apply: ParseError('class_index must be an integer')",
+    ),
+    (
+        _stray_keys_in_two_steps,
+        "certificate field 'step_log[0]' is not the writer's form of its inputs",
     ),
 ]
 
@@ -1442,3 +1459,90 @@ def test_report_counts_an_unbounded_contraction_as_inf(tmp_path):
     assert run_cli("report", "--runs", csv_path, "--out-dir", out_dir) == 0
     hist = (out_dir / "contraction_histogram.csv").read_text().splitlines()
     assert hist == ["bucket,count", '"[2^0,2^1)",1', "inf,1"]
+
+
+@pytest.mark.parametrize("center", ["n", -1])
+def test_a_ball_center_off_the_graph_is_refused_by_certify(tmp_path, capsys, center):
+    # the reader takes a center as any integer, since it reads no instance:
+    # the conservation audit accepts the file, and certify, which reads the
+    # instance, refuses it naming the center and the vertex count
+    canon, cert = _balanced_certificate(tmp_path)
+    n = json.loads(canon.read_text())["graph"]["n"]
+    center = n if center == "n" else center
+    cert["balls"][0]["center"] = center
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run_cli("audit", "--kind", "conservation", "--certificate", given) == 0
+    assert json.loads(capsys.readouterr().out) == {"steps": 3}
+    rc = run_cli(
+        "certify", "--kind", "balanced", "--instance", canon,
+        "--delta", 200, "--alpha", "1", "--certificate", given,
+    )
+    assert rc == 2
+    message = f"ball 0 center {center} is not a vertex 0..{n - 1}"
+    assert message in assert_one_line_error(capsys)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Each case starts at CPython's default 4,300-digit int <-> str limit, so
+    that it tests `main` lifting it, not an earlier call's lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield  # this Python has no limit to lift
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+# a canonical fraction of 5,001 digits, written without converting an int
+WIDE = "1" + "0" * 4999 + "1"
+
+
+def test_generate_writes_weights_past_the_digit_limit(tmp_path, capsys, default_digit_limit):
+    out = tmp_path / "canon.json"
+    rc = run_cli(
+        "generate", "canonical", "--classes", 2, "--per-class", 1,
+        "--delta", 15000, "--seed", 0, "--out", out,
+    )
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert max(len(w) for _, _, w in json.loads(out.read_text())["graph"]["edges"]) > 4300
+
+
+def test_induction_bound_formats_a_bound_past_the_digit_limit(
+    tmp_path, capsys, default_digit_limit
+):
+    inst = tmp_path / "canon.json"
+    run_cli(
+        "generate", "canonical", "--classes", 3, "--per-class", 2,
+        "--delta", 800, "--seed", 0, "--out", inst,
+    )
+    capsys.readouterr()
+    rc = run_cli(
+        "certify", "--kind", "induction-bound", "--instance", inst,
+        "--delta", 800, "--alpha", "1",
+    )
+    assert (rc, capsys.readouterr()) == (0, ("pass\n", ""))
+
+
+def test_run_parses_a_weight_past_the_digit_limit(tmp_path, capsys, default_digit_limit):
+    path = tmp_path / "wide.json"
+    edge = [0, 1, f"{WIDE}/1"]
+    inst = {"graph": {"n": 2, "edges": [edge]}, "pairs": [[0, 1]], "schedule": [[]]}
+    path.write_text(json.dumps(inst))
+    capsys.readouterr()
+    assert run_cli("run", "--instance", path, "--rule", "rule3") == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["greedy_cost"], row["opt_cost"]) == (f"{WIDE}/1", f"{WIDE}/1")
+
+
+def test_conservation_audit_reads_a_K_past_the_digit_limit(tmp_path, capsys, default_digit_limit):
+    _, cert = _balanced_certificate(tmp_path)
+    assert cert["K"] == 4
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(cert).replace('"K": 4', f'"K": {WIDE}'))
+    capsys.readouterr()
+    assert run_cli("audit", "--kind", "conservation", "--certificate", given) == 0
+    assert json.loads(capsys.readouterr().out) == {"steps": 3}

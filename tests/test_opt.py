@@ -12,7 +12,7 @@ from greedysf.exact import lg_plus, parse_fraction
 from greedysf.graph import WeightedGraph, open_ball, subdivide_edges, default_eta
 from greedysf.dualfit import build_class_duals
 from greedysf.greedy import Rule, equal_cost_classes, run_greedy
-from greedysf.balanced import ClassInfo, build_balanced, verify_balanced
+from greedysf.balanced import ClassInfo, balanced_to_obj, build_balanced, verify_balanced
 from greedysf.instances import (
     MateMap,
     gen_canonical_nested,
@@ -582,8 +582,9 @@ def assert_scaling_keeps_the_balanced_dual(inst, build, delta):
     totals by c; returns the unscaled dual."""
     bd = build(run_greedy(inst, Rule.RULE3), inst)
 
-    def events(log):
-        return [{k: v for k, v in e.items() if k != "charged_total"} for e in log]
+    def totals(dual):
+        # the writer stamps each step with the charged total
+        return [parse_fraction(e["charged_total"]) for e in balanced_to_obj(dual)["step_log"]]
 
     for c in (F(7, 3), F(1, 1000), F(97)):
         scaled = _scaled(inst, c)
@@ -601,9 +602,7 @@ def assert_scaling_keeps_the_balanced_dual(inst, build, delta):
         ]
         assert bd_c.statuses == bd.statuses and bd_c.dangerous == bd.dangerous
         assert bd_c.charges == bd.charges
-        assert events(bd_c.step_log) == events(bd.step_log)
-        assert [parse_fraction(e["charged_total"]) for e in bd_c.step_log] == [
-            parse_fraction(e["charged_total"]) * c for e in bd.step_log
-        ]
+        assert bd_c.step_log == bd.step_log
+        assert totals(bd_c) == [total * c for total in totals(bd)]
         assert verify_balanced(bd_c, trace_c, scaled, delta).all_ok
     return bd

@@ -390,3 +390,31 @@ def test_a_balanced_dual_is_its_step_log():
     assert [f.name for f in dataclasses.fields(BalancedDual)] == [
         "K", "classes", "centers", "step_log"
     ]
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """The ids of the docstring constants under `tree`."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None
+    }
+
+
+def test_only_the_writer_names_the_charged_total():
+    # a step holds its event's fields; the conserved total is the writer's
+    # stamp, which the reader checks only through the write-back
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        docs = _docstrings(tree)
+        sites += _sites(
+            lambda node: isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "charged_total" in node.value
+            and id(node) not in docs,
+            tree,
+            path.stem,
+        )
+    assert sites == ["balanced.balanced_to_obj"]
