@@ -14,11 +14,14 @@ per ball inspects the charged cost of the smaller pairs that landed near it:
 
 `apply_event` is the one charge flow.  A `BalancedDual` holds `K`, the
 classes, one ball center per ball-placing step and the step log; `replay`
-takes the log from every charge at 1 to its balls, charges and statuses, so
-the builder, which decides on working copies moved by the same events,
-cannot return an end state its log does not reach.  A step holds `event`,
-`class_index` (the class of its pairs) and its event's `STEP_FIELDS`; the
-writer stamps each with the start total, `charged_total`, which events conserve.
+takes the log from every charge at 1 to its balls, charges and statuses.  The
+builder shares the replay's definitions: it starts from the same `_start`,
+sizes each ball with the same `ball_radius` and sums with the same
+`charged_cost`, so it decides on the charges and statuses that its log
+replays to, and cannot return an end state its log does not reach.  A step
+holds `event`, `class_index` (the class of its pairs) and its event's
+`STEP_FIELDS`; the writer stamps each with the start total, `charged_total`,
+which events conserve.
 
 `obj_to_balanced` parses only a certificate's inputs and accepts only a file
 that `balanced_to_obj` writes back unchanged, key for key, steps too: the
@@ -28,7 +31,6 @@ writer is the one definition of the file, and the log of its end state.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +46,7 @@ from .exact import (
     parse_fraction,
     parse_int,
     parse_list,
+    unwritten_field,
 )
 from .graph import Distances, first_overlap, overlapping_pairs
 from .greedy import RunTrace, equal_cost_classes
@@ -137,15 +140,26 @@ def _class_of_pair(classes: tuple[ClassInfo, ...]) -> dict[int, int]:
     return {i: cls.index for cls in classes for i in cls.pair_ids}
 
 
-def charged_cost(trace: RunTrace, pair_ids, charges: dict[int, Fraction]) -> Fraction:
-    """Sum of charge(p) * traced cost(p) over the given pairs."""
-    return sum((charges[i] * trace.costs[i] for i in pair_ids), Fraction(0))
+def charged_cost(cost, pair_ids, charges: dict[int, Fraction]) -> Fraction:
+    """Sum of charge(p) * cost[p] over the pairs: a class-cost map or a trace's `costs`."""
+    return sum((charges[i] * cost[i] for i in pair_ids), Fraction(0))
+
+
+def _start(classes: tuple[ClassInfo, ...]):
+    """Where a log starts: each pair's class cost, its charge at 1, its status unclassified."""
+    cost = {i: cls.cost for cls in classes for i in cls.pair_ids}
+    return cost, {i: Fraction(1) for i in cost}, {i: PairStatus.UNCLASSIFIED for i in cost}
 
 
 def _slack(K: int) -> Fraction:
     """The relative width 1/(200*L^2), L = lg_plus(K), of a ball's border band."""
     L = lg_plus(K)
     return Fraction(1, 200 * L * L)
+
+
+def ball_radius(cls: ClassInfo, K: int, increments: int) -> Fraction:
+    """The radius r/2 + increments*r/(200*L^2) of a ball of `cls`, r its `radius_full`."""
+    return cls.radius_full / 2 + increments * cls.radius_full * _slack(K)
 
 
 def neighborhood_reach(radius: Fraction, K: int) -> Fraction:
@@ -238,10 +252,7 @@ def apply_event(charges, statuses, event: dict, cost: dict[int, Fraction]) -> Fr
     [owner] = fields.get("owner", [None])
     named = {q for pairs in fields.values() for q in pairs}
 
-    def weight(pairs) -> Fraction:
-        return sum((charges[q] * cost[q] for q in pairs), Fraction(0))
-
-    before = weight(named)
+    before = charged_cost(cost, named, charges)
     if kind == "redistribute_skipped":
         share = sum((charges[q] for q in fields["skipped"]), Fraction(0)) / len(fields["balled"])
         for q in fields["skipped"]:
@@ -249,7 +260,7 @@ def apply_event(charges, statuses, event: dict, cost: dict[int, Fraction]) -> Fr
         for p in fields["balled"]:
             charges[p] += share
     elif kind == "delete_and_recharge":
-        factor = 1 + charges[owner] * cost[owner] / weight(fields["interior"])
+        factor = 1 + charges[owner] * cost[owner] / charged_cost(cost, fields["interior"], charges)
         for q in fields["interior"]:
             charges[q] *= factor
         charges[owner], statuses[owner] = Fraction(0), PairStatus.CHARGED
@@ -268,7 +279,7 @@ def apply_event(charges, statuses, event: dict, cost: dict[int, Fraction]) -> Fr
                 )
             statuses[q] = PairStatus.DANGEROUS
         statuses[owner] = PairStatus.SURVIVING
-    return weight(named) - before
+    return charged_cost(cost, named, charges) - before
 
 
 def _construct(
@@ -278,9 +289,7 @@ def _construct(
     preconditions already vetted; its charges and statuses are working state
     for its decisions, and the dual it returns replays them from its log."""
     L = lg_plus(K)
-    cost = {i: cls.cost for cls in classes for i in cls.pair_ids}
-    charges = {i: Fraction(1) for i in range(trace.k)}
-    statuses = {i: PairStatus.UNCLASSIFIED for i in range(trace.k)}
+    cost, charges, statuses = _start(classes)
     centers: list[int] = []
     ball_members: list[frozenset[int]] = []
     log: list[dict] = []
@@ -305,18 +314,13 @@ def _construct(
         recharged_this_iteration: set[int] = set()
         reach = neighborhood_reach(cls.radius_full, K)
         for center, owner in coll.balls:
-            ball = DualBall(
-                class_index=cls.index,
-                center=center,
-                radius=cls.radius_full,
-                owner_pair=owner,
-            )
+            ball = DualBall(cls.index, center, cls.radius_full, owner)
             # every ball this owner may end with has radius <= radius_full,
             # so one search to the full ball's reach answers all of them
             dist = Distances(inst.graph, center, reach)
             nb = ball_neighborhood(inst, ball, K, classes, dist)
             _check_targets_fresh(nb.members, statuses, ball)
-            sigma = charged_cost(trace, nb.interior, charges)
+            sigma = charged_cost(cost, nb.interior, charges)
             threshold_delete = 10 * charges[owner] * cls.cost * L**10
             if sigma > threshold_delete:
                 # delete and recharge: the ball is erased, its charged cost
@@ -332,46 +336,40 @@ def _construct(
                 recharged_this_iteration.update(nb.interior)
                 log_event("delete_and_recharge", cls, owner, list(nb.interior))
                 continue
-            halved = replace(ball, radius=cls.radius_full / 2)
-            nb2 = ball_neighborhood(inst, halved, K, classes, dist)
-            sigma2 = charged_cost(trace, nb2.members, charges)
-            if sigma2 <= 10 * charges[owner] * cls.cost:
+            t = 0  # increments grown past r/2
+            halved = replace(ball, radius=ball_radius(cls, K, t))
+            nbt = ball_neighborhood(inst, halved, K, classes, dist)
+            if charged_cost(cost, nbt.members, charges) <= 10 * charges[owner] * cls.cost:
                 # halve and absorb: the halved neighborhood is charged to the owner
-                final = halved
-                log_event("halve_and_absorb", cls, owner, list(nb2.members))
+                log_event("halve_and_absorb", cls, owner, list(nbt.members))
             else:
                 # grow and defer: enlarge until the border carries little,
-                # then mark the whole neighborhood dangerous
-                step = cls.radius_full * _slack(K)
-                t = 0
-                current = halved
-                nbt = nb2
+                # then mark the whole neighborhood dangerous; below grow_cap
+                # the radius stays under r, as 60*L*lg+(L) < 100*L^2
                 while True:
-                    border_cost = charged_cost(trace, nbt.border, charges)
-                    interior_cost = charged_cost(trace, nbt.interior, charges)
-                    if border_cost <= Fraction(10, L) * interior_cost:
+                    border_cost = charged_cost(cost, nbt.border, charges)
+                    if border_cost <= Fraction(10, L) * charged_cost(cost, nbt.interior, charges):
                         break
                     t += 1
-                    if t >= grow_cap or current.radius + step > cls.radius_full:
+                    if t >= grow_cap:
                         raise InternalConsistencyError(
                             f"ball around pair {owner}: radius growth did not "
                             f"stabilize within {grow_cap} increments"
                         )
-                    current = replace(current, radius=current.radius + step)
-                    nbt = ball_neighborhood(inst, current, K, classes, dist)
-                final = current
+                    grown = replace(ball, radius=ball_radius(cls, K, t))
+                    nbt = ball_neighborhood(inst, grown, K, classes, dist)
                 log_event("grow_and_defer", cls, owner, t, list(nbt.members))
-            members = dist.ball(final.radius)
+            members = dist.ball(ball_radius(cls, K, t))
             prev_idx = first_overlap(ball_members, members)
             if prev_idx is not None:
                 raise InternalConsistencyError(
-                    f"ball of pair {final.owner_pair} overlaps ball "
+                    f"ball of pair {owner} overlaps ball "
                     f"{prev_idx}; the separation regime should prevent this"
                 )
             centers.append(center)
             ball_members.append(members)
 
-    leftover = [i for i, s in statuses.items() if s is PairStatus.UNCLASSIFIED]
+    leftover = sorted(i for i, s in statuses.items() if s is PairStatus.UNCLASSIFIED)
     if leftover:
         raise InternalConsistencyError(f"pairs never classified: {leftover}")
     return BalancedDual(K, classes, tuple(centers), log)
@@ -503,10 +501,10 @@ def verify_balanced(
     for i, (b, nb) in enumerate(zip(bd.balls, neighborhoods)):
         cls = class_by_index[b.class_index]
         interior_d = charged_cost(
-            trace, [q for q in nb.interior if q in dangerous], bd.charges
+            trace.costs, [q for q in nb.interior if q in dangerous], bd.charges
         )
         border_d = charged_cost(
-            trace, [q for q in nb.border if q in dangerous], bd.charges
+            trace.costs, [q for q in nb.border if q in dangerous], bd.charges
         )
         cap_c = 10 * bd.charges[b.owner_pair] * cls.cost * L**10
         if interior_d > cap_c:
@@ -550,7 +548,7 @@ def verify_balanced(
         else:
             clause_e = False
             offenders.append(f"pair {i} is unclassified")
-    carried = charged_cost(trace, range(trace.k), bd.charges)
+    carried = charged_cost(trace.costs, range(trace.k), bd.charges)
     if carried != trace.total_cost:
         clause_e = False
         offenders.append(
@@ -658,10 +656,8 @@ def replay(
     grows by an `increments` that is not a non-negative integer, and a count
     of centers other than of ball-placing steps.
     """
-    cost = {i: cls.cost for cls in classes for i in cls.pair_ids}
+    cost, charges, statuses = _start(classes)
     class_of = _class_of_pair(classes)
-    charges = {i: Fraction(1) for i in cost}
-    statuses = {i: PairStatus.UNCLASSIFIED for i in cost}
     placed: list[tuple[int, Fraction, int]] = []  # (class, radius, owner) per ball
     for i, step in enumerate(step_log):
         try:
@@ -682,8 +678,8 @@ def replay(
             t = step.get("increments") if step["event"] == "grow_and_defer" else 0
             if type(t) is not int or t < 0:
                 raise ParseError(f"step_log[{i}] increments must be a non-negative integer")
-            r = classes[named - 1].radius_full  # the owner's class, checked above
-            placed.append((named, r / 2 + t * r * _slack(K), step["owner"]))
+            # the owner's class, checked above
+            placed.append((named, ball_radius(classes[named - 1], K, t), step["owner"]))
     if len(centers) != len(placed):
         raise ParseError(
             f"certificate field 'balls' has {len(centers)} centers for "
@@ -745,17 +741,9 @@ def obj_to_balanced(obj) -> BalancedDual:
             f"the pair count {k}"
         )
     bd = BalancedDual(K, classes, centers, step_log)
-    written = balanced_to_obj(bd)
-    for key in {**written, **obj}:
-        # compared as JSON text: true differs from 1, and a missing key from null
-        texts = [json.dumps(t[key], sort_keys=True) if key in t else None for t in (written, obj)]
-        if texts[0] != texts[1]:
-            if key in ("balls", "charges", "statuses"):
-                raise ParseError(
-                    f"certificate field {key!r} is not where its step_log replays to"
-                )
-            if key == "step_log":  # a written step per file step: name the first that differs
-                i = next(i for i, step in enumerate(written[key]) if step != obj[key][i])
-                key = f"step_log[{i}]"
-            raise ParseError(f"certificate field {key!r} is not the writer's form of its inputs")
+    key = unwritten_field(balanced_to_obj(bd), obj, "step_log")
+    if key in ("balls", "charges", "statuses"):
+        raise ParseError(f"certificate field {key!r} is not where its step_log replays to")
+    if key is not None:
+        raise ParseError(f"certificate field {key!r} is not the writer's form of its inputs")
     return bd

@@ -251,8 +251,15 @@ def _trace_for(args, inst: Instance):
     return trace
 
 
-def _certify_balanced(args, inst: Instance, trace) -> tuple[dict, bool]:
+def _balanced_params(args, inst: Instance) -> tuple[int, Fraction, int]:
+    """`--K`, `--alpha` and `--delta`, by default the pair count, 1 and 200."""
     K = inst.k if args.K is None else args.K
+    alpha = Fraction(1) if args.alpha is None else args.alpha
+    return K, alpha, 200 if args.delta is None else args.delta
+
+
+def _certify_balanced(args, inst: Instance, trace) -> tuple[dict, bool]:
+    K, alpha, delta = _balanced_params(args, inst)
     if args.certificate:
         bd = obj_to_balanced(_load_certificate(args.certificate))
         # K sets the caps the clauses check, so the command fixes it, not the
@@ -262,8 +269,8 @@ def _certify_balanced(args, inst: Instance, trace) -> tuple[dict, bool]:
         if bd.K != K:
             raise InputError(f"certificate has K={bd.K}, but this command has K={K}")
     else:
-        bd = build_balanced(trace, inst, K=K, delta=args.delta, alpha=args.alpha)
-    report = verify_balanced(bd, trace, inst, args.delta)
+        bd = build_balanced(trace, inst, K=K, delta=delta, alpha=alpha)
+    report = verify_balanced(bd, trace, inst, delta)
     clauses = asdict(report)
     offenders = list(clauses.pop("offenders"))
     payload = {"certificate": balanced_to_obj(bd), "clauses": clauses, "offenders": offenders}
@@ -271,10 +278,10 @@ def _certify_balanced(args, inst: Instance, trace) -> tuple[dict, bool]:
 
 
 def _certify_induction_bound(args, inst: Instance, trace) -> tuple[dict, bool]:
-    K = inst.k if args.K is None else args.K
-    bd = build_balanced(trace, inst, K=K, delta=args.delta, alpha=args.alpha)
+    K, alpha, delta = _balanced_params(args, inst)
+    bd = build_balanced(trace, inst, K=K, delta=delta, alpha=alpha)
     opt = steiner_forest_exact(inst)
-    rep = induction_bound_audit(bd, opt, inst, trace, args.delta)
+    rep = induction_bound_audit(bd, opt, inst, trace, delta)
     payload = {
         "holds": rep.holds,
         "lhs": format_fraction(rep.lhs),
@@ -317,11 +324,24 @@ CERTIFY_KINDS = {
     "induction-bound": _certify_induction_bound,
     "dual-lb": _certify_dual_lb,
 }
+# the flags only some kinds read, and those kinds
+CERTIFY_FLAGS = {
+    "certificate": ("balanced",),
+    **dict.fromkeys(("K", "alpha", "delta"), ("balanced", "induction-bound")),
+}
+TRANSFORM_FLAGS = dict.fromkeys(("alpha", "delta"), ("canonical",))
+
+
+def _refuse_unread(args, readers: dict[str, tuple[str, ...]]):
+    """Exit 2 on a flag that `--kind` does not read, since it would go unread."""
+    for flag, kinds in readers.items():
+        if getattr(args, flag) is not None and args.kind not in kinds:
+            only = " and ".join(kinds)
+            raise InputError(f"--{flag} is read by --kind {only} only, not {args.kind}")
 
 
 def cmd_certify(args) -> int:
-    if args.certificate and args.kind != "balanced":
-        raise InputError(f"--certificate is read by --kind balanced only, not {args.kind}")
+    _refuse_unread(args, CERTIFY_FLAGS)
     inst = _load_instance(args.instance)
     trace = _trace_for(args, inst)
     payload, ok = CERTIFY_KINDS[args.kind](args, inst, trace)
@@ -334,10 +354,13 @@ def cmd_certify(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    _refuse_unread(args, TRANSFORM_FLAGS)
     inst = _load_instance(args.instance)
     trace = _trace_for(args, inst)
     if args.kind == "canonical":
-        out, receipt = to_canonical(inst, trace, args.alpha, args.delta)
+        alpha = Fraction(2) if args.alpha is None else args.alpha
+        delta = 300 if args.delta is None else args.delta
+        out, receipt = to_canonical(inst, trace, alpha, delta)
     else:
         out, receipt = subdivide_pairs_rule3(inst, trace)
     _write(args.instance_out, serialize_instance(out))
@@ -513,9 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--instance", required=True)
     c.add_argument("--rule", default="3")
     c.add_argument("--trace", help="optional trace file, checked for consistency")
-    c.add_argument("--alpha", type=_alpha, default="1/1")
-    c.add_argument("--delta", type=int, default=200)
-    c.add_argument("--K", type=int)
+    c.add_argument("--alpha", type=_alpha, help="balanced and induction-bound only; default 1")
+    c.add_argument("--delta", type=int, help="balanced and induction-bound only; default 200")
+    c.add_argument("--K", type=int, help="balanced and induction-bound only; default pair count")
     c.add_argument("--certificate", help="balanced only: verify this file instead of building")
     c.add_argument("--out")
     c.set_defaults(func=cmd_certify)
@@ -525,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--instance", required=True)
     t.add_argument("--rule", default="3")
     t.add_argument("--trace", help="optional trace file, checked for consistency")
-    t.add_argument("--alpha", type=_alpha, default="2/1")
-    t.add_argument("--delta", type=int, default=300)
+    t.add_argument("--alpha", type=_alpha, help="canonical only; default 2")
+    t.add_argument("--delta", type=int, help="canonical only; default 300")
     t.add_argument("--instance-out", dest="instance_out", required=True)
     t.add_argument("--receipt-out", dest="receipt_out", required=True)
     t.set_defaults(func=cmd_transform)

@@ -8,6 +8,7 @@ rational brackets for the irrational constants used by the audit thresholds.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -47,6 +48,25 @@ def parse_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a list")
     return value
+
+
+def unwritten_field(written: dict, given: dict, listed: str) -> str | None:
+    """The first key of a file `given` whose value is not its writer's form
+    `written`, or None.  Values compare as JSON text: true differs from 1, and
+    a missing key from null.  Both hold the list under `listed`, a written
+    entry per given one, and of it the first entry that differs is named."""
+
+    def text(value) -> str:
+        return json.dumps(value, sort_keys=True)
+
+    for key in {**written, **given}:
+        if key in written and key in given and text(written[key]) == text(given[key]):
+            continue
+        if key != listed:
+            return key
+        i = next(i for i, (w, g) in enumerate(zip(written[key], given[key])) if text(w) != text(g))
+        return f"{key}[{i}]"
+    return None
 
 
 def parse_edge(item, what: str) -> tuple[int, int, Fraction]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, ParseError, RunError
-from .exact import format_fraction, parse_fraction, parse_int, parse_list
+from .exact import format_fraction, parse_fraction, parse_int, parse_list, unwritten_field
 from .instances import Instance
 
 
@@ -174,6 +174,8 @@ def serialize_trace(trace: RunTrace) -> str:
 
 
 def parse_trace(text: str) -> RunTrace:
+    """The run a trace file states.  Only a file that `trace_to_obj` writes
+    back unchanged, key for key, states one: the writer is its definition."""
     try:
         obj = json.loads(text)
         rule = Rule.parse(obj["rule"])
@@ -190,15 +192,16 @@ def parse_trace(text: str) -> RunTrace:
             added.append(shortcuts)
             c = row["contraction"]
             contraction.append(None if c == "inf" else parse_fraction(c))
-        total = parse_fraction(obj["total"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed trace: {exc}") from exc
-    if total != sum(costs, Fraction(0)):
-        raise ParseError("trace total does not match the per-pair costs")
-    return RunTrace(
+    trace = RunTrace(
         rule=rule,
         paths=paths,
         costs=costs,
         shortcuts_added=added,
         contraction=contraction,
     )
+    key = unwritten_field(trace_to_obj(trace), obj, "pairs")
+    if key is not None:
+        raise ParseError(f"trace field {key!r} is not the writer's form of its inputs")
+    return trace

@@ -22,6 +22,7 @@ from greedysf.balanced import (
     STEP_FIELDS,
     apply_event,
     ball_neighborhood,
+    ball_radius,
     neighborhood_reach,
     balanced_to_obj,
     build_balanced,
@@ -169,10 +170,10 @@ def test_ball_neighborhood_thresholds_are_non_strict():
 def test_charged_cost():
     inst, trace = canonical_setup(1, 2, 20)
     ch = {0: F(1), 1: F(1)}
-    assert charged_cost(trace, [], ch) == 0
-    assert charged_cost(trace, [0, 1], ch) == trace.total_cost
+    assert charged_cost(trace.costs, [], ch) == 0
+    assert charged_cost(trace.costs, [0, 1], ch) == trace.total_cost
     ch[0] = F(0)
-    assert charged_cost(trace, [0, 1], ch) == trace.costs[1]
+    assert charged_cost(trace.costs, [0, 1], ch) == trace.costs[1]
 
 
 # -- builder ---------------------------------------------------------------------
@@ -441,7 +442,7 @@ def test_verifier_accepts_a_dangerous_interior_cost_equal_to_its_cap():
     ball, cls = bd.balls[0], bd.classes[0]
     dist = Distances(inst.graph, ball.center, neighborhood_reach(ball.radius, bd.K))
     nb = ball_neighborhood(inst, ball, bd.K, bd.classes, dist)
-    interior = charged_cost(trace, [q for q in nb.interior if q in bd.dangerous], bd.charges)
+    interior = charged_cost(trace.costs, [q for q in nb.interior if q in bd.dangerous], bd.charges)
     assert interior == 81 * F(198, 100)
     # the owner charge that makes the cap 10 * charge * cost * L**10 equal it
     at_cap = interior / (10 * cls.cost * lg_plus(bd.K) ** 10)
@@ -946,3 +947,31 @@ def test_negative_increments_is_refused_on_a_ball_it_matches(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"step_log[{i}] increments must be a non-negative integer" in err
+
+
+def test_every_growth_below_the_cap_stays_under_the_full_radius():
+    # why the builder needs no radius guard: grow_cap = 60*L*lg+(L) < 100*L^2,
+    # so the last growth it may try is still below r, inside the search
+    # `Distances` ran to the full ball's reach
+    for K in (2**j for j in range(65)):
+        L = lg_plus(K)
+        grow_cap = 60 * L * lg_plus(L)
+        for cls in HAND_CLASSES:
+            assert ball_radius(cls, K, 0) == cls.radius_full / 2
+            assert ball_radius(cls, K, grow_cap - 1) < cls.radius_full
+
+
+def test_the_builder_and_the_reader_start_from_one_state(monkeypatch):
+    # the start tables are where every log starts, so building and reading
+    # a file each take them from one helper: the builder once, the replay once
+    inst, trace = canonical_setup(2, 2, 200)
+    starts = []
+    start = balanced._start
+    monkeypatch.setattr(balanced, "_start", lambda classes: starts.append(classes) or start(classes))
+    bd = build_balanced(trace, inst, K=inst.k, delta=200, alpha=1)
+    assert starts == [bd.classes]  # the end state is not replayed until read
+    obj = json.loads(json.dumps(balanced_to_obj(bd)))
+    starts.clear()
+    back = obj_to_balanced(obj)
+    assert starts == [bd.classes]  # the reader's replay, which its write-back reads
+    assert balanced_to_obj(back) == obj

@@ -255,8 +255,50 @@ def _forged_contraction(trace):
     trace["pairs"][1]["contraction"] = "5/1"
 
 
+def _note_at_the_top(trace):
+    trace["note"] = "x"
+
+
+def _extra_in_a_pair(trace):
+    trace["pairs"][0]["extra"] = [1, 2]
+
+
+def _bare_rule_number(trace):
+    trace["rule"] = "3"  # Rule.parse reads it, but the writer writes "rule3"
+
+
+def _wrong_total(trace):
+    trace["total"] = "1/1"
+
+
+# what each tamper's one-line error says; "does not match" where not listed
+TRACE_REFUSALS = {
+    _other_rule: "different rule",
+    # a key the writer never writes would go unread, so the reader refuses it
+    _note_at_the_top: "trace field 'note' is not the writer's form",
+    _extra_in_a_pair: "trace field 'pairs[0]' is not the writer's form",
+    _bare_rule_number: "trace field 'rule' is not the writer's form",
+    _wrong_total: "trace field 'total' is not the writer's form",
+}
+
+
+def _trace_reader(command, tmp_path):
+    """The argv of a command that reads `--trace`, less `--instance` and `--trace`."""
+    return {
+        "transform": [
+            "transform", "--kind", "subdivide-rule3", "--instance-out", tmp_path / "o.json",
+            "--receipt-out", tmp_path / "r.json",
+        ],
+        "certify": ["certify", "--kind", "class-duals"],
+    }[command]
+
+
 @pytest.mark.parametrize(
-    "tamper", [_other_rule, _other_path, _forged_shortcuts, _forged_contraction]
+    "tamper",
+    [
+        _other_rule, _other_path, _forged_shortcuts, _forged_contraction,
+        _note_at_the_top, _extra_in_a_pair, _bare_rule_number, _wrong_total,
+    ],
 )
 @pytest.mark.parametrize("command", ["transform", "certify"])
 def test_trace_file_must_equal_the_run(tmp_path, capsys, tamper, command):
@@ -267,18 +309,9 @@ def test_trace_file_must_equal_the_run(tmp_path, capsys, tamper, command):
     obj = json.loads(trace.read_text())
     tamper(obj)
     trace.write_text(json.dumps(obj))
-    argv = {
-        "transform": [
-            "transform", "--kind", "subdivide-rule3", "--instance-out", tmp_path / "o.json",
-            "--receipt-out", tmp_path / "r.json",
-        ],
-        "certify": ["certify", "--kind", "class-duals"],
-    }[command]
     capsys.readouterr()
-    assert run_cli(*argv, "--instance", inst, "--trace", trace) == 2
-    err = assert_one_line_error(capsys)
-    expected = "different rule" if tamper is _other_rule else "does not match"
-    assert expected in err
+    assert run_cli(*_trace_reader(command, tmp_path), "--instance", inst, "--trace", trace) == 2
+    assert TRACE_REFUSALS.get(tamper, "does not match") in assert_one_line_error(capsys)
 
 
 @pytest.mark.parametrize("vertex, forged", [(2, 2.0), (1, True)])
@@ -299,15 +332,8 @@ def test_trace_vertex_ids_must_be_integers(tmp_path, capsys, vertex, forged, com
     assert row["path"] == [vertex, 3] and row["shortcuts"] == [[vertex, 3]]
     row["path"][0] = row["shortcuts"][0][0] = forged
     trace.write_text(json.dumps(obj))
-    argv = {
-        "transform": [
-            "transform", "--kind", "subdivide-rule3", "--instance-out", tmp_path / "o.json",
-            "--receipt-out", tmp_path / "r.json",
-        ],
-        "certify": ["certify", "--kind", "class-duals"],
-    }[command]
     capsys.readouterr()
-    assert run_cli(*argv, "--instance", inst, "--trace", trace) == 2
+    assert run_cli(*_trace_reader(command, tmp_path), "--instance", inst, "--trace", trace) == 2
     assert "must be an integer" in assert_one_line_error(capsys)
 
 
@@ -585,6 +611,32 @@ def test_audit_refuses_a_file_its_kind_does_not_read(tmp_path, capsys, kind, unr
     capsys.readouterr()
     assert run_cli("audit", "--kind", kind, *read, unread, tmp_path / "missing.json") == 2
     assert f"does not read {unread}" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["certify", "--kind", "class-duals", "--K", "1"], "--K"),
+        (["certify", "--kind", "class-duals", "--alpha", "9"], "--alpha"),
+        (["certify", "--kind", "class-duals", "--delta", "3"], "--delta"),
+        (["certify", "--kind", "dual-lb", "--K", "0"], "--K"),
+        (["certify", "--kind", "dual-lb", "--alpha", "1"], "--alpha"),
+        (["certify", "--kind", "dual-lb", "--delta", "-4"], "--delta"),
+        (["transform", "--kind", "subdivide-rule3", "--alpha", "2"], "--alpha"),
+        (["transform", "--kind", "subdivide-rule3", "--delta", "300"], "--delta"),
+    ],
+)
+def test_a_flag_its_kind_does_not_read_exits_2(tmp_path, capsys, argv, flag):
+    # only balanced and induction-bound read --K, --alpha and --delta, and
+    # only the canonical transform reads --alpha and --delta: a kind that
+    # ignored them would pass whatever they said
+    inst = tmp_path / "pet.json"
+    run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
+    outs = ["--instance-out", tmp_path / "o.json", "--receipt-out", tmp_path / "r.json"]
+    capsys.readouterr()
+    assert run_cli(*argv, "--instance", inst, *(outs if argv[0] == "transform" else [])) == 2
+    assert f"{flag} is read by --kind" in assert_one_line_error(capsys)
+    assert not (tmp_path / "o.json").exists()
 
 
 def _balanced_certificate(tmp_path, classes=2, delta=200, seed=1):
