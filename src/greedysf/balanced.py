@@ -206,17 +206,14 @@ def _require(condition: bool, clause: str):
         raise InputError(f"precondition violated: {clause}")
 
 
-def build_balanced(
-    trace: RunTrace,
-    inst: Instance,
-    K: int,
-    delta: int,
-    alpha,
-) -> BalancedDual:
-    """Construct a balanced dual solution for a canonical instance.
+def balanced_classes(
+    trace: RunTrace, inst: Instance, K: int, delta: int, alpha
+) -> tuple[ClassInfo, ...]:
+    """The cost classes of a run, once the balanced dual's preconditions hold.
 
     Refuses non-canonical inputs and parameter combinations outside the
-    separation regime, because every clause constant depends on them.
+    separation regime, because every clause constant depends on them: both
+    building a certificate and checking a given one require them.
     """
     alpha = Fraction(alpha)
     report = canonical_report(inst, trace, alpha, delta)
@@ -230,7 +227,19 @@ def build_balanced(
     )
     classes = trace_classes(trace)
     _require(len(classes) <= L, f"class count {len(classes)} exceeds lg+(K)={L}")
-    return _construct(trace, inst, K, classes)
+    return classes
+
+
+def build_balanced(
+    trace: RunTrace,
+    inst: Instance,
+    K: int,
+    delta: int,
+    alpha,
+) -> BalancedDual:
+    """Construct a balanced dual solution for a canonical instance, under the
+    preconditions `balanced_classes` checks."""
+    return _construct(trace, inst, K, balanced_classes(trace, inst, K, delta, alpha))
 
 
 def apply_event(charges, statuses, event: dict, cost: dict[int, Fraction]) -> Fraction:

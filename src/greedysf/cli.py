@@ -13,7 +13,8 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from collections import Counter
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -27,7 +28,6 @@ from .instances import (
     gen_canonical_nested,
     gen_girth_lower_bound,
     gen_random_instance,
-    make_instance,
     parse_instance,
     serialize_instance,
 )
@@ -52,6 +52,7 @@ from .dualfit import (
     verify_class_duals,
 )
 from .balanced import (
+    balanced_classes,
     balanced_to_obj,
     build_balanced,
     induction_bound_audit,
@@ -66,31 +67,12 @@ from .transforms import (
 )
 
 
-@dataclass(frozen=True)
-class RunValues:
-    """The value columns of a run row, in column order; None where absent.
-
-    Each value fills two cells: its exact fraction under the column's name,
-    and its decimal under the name plus `_dec`.  An absent value reads "" in
-    both, but "inf" in a contraction column, where absent means unbounded.
-    """
-
-    greedy_cost: Fraction
-    opt_cost: Optional[Fraction]
-    tstar_cost: Optional[Fraction]
-    ratio: Optional[Fraction]
-    contraction_min: Optional[Fraction]
-    contraction_max: Optional[Fraction]
-
-
-RULE_CELLS = [f"rule{rule.value}" for rule in Rule]
-CONTRACTION_COLUMNS = [f.name for f in fields(RunValues) if f.name.startswith("contraction_")]
+# the value columns of a run row, in order: each fills a fraction and a `_dec` cell
+VALUE_COLUMNS = [
+    "greedy_cost", "opt_cost", "tstar_cost", "ratio", "contraction_min", "contraction_max"
+]
 RUN_CSV_FIELDS = [
-    "instance",
-    "rule",
-    "k",
-    *(cell for f in fields(RunValues) for cell in (f.name, f"{f.name}_dec")),
-    "verdicts",
+    "instance", "rule", "k", *(c for v in VALUE_COLUMNS for c in (v, f"{v}_dec")), "verdicts"
 ]
 
 
@@ -126,11 +108,8 @@ def _load_certificate(path: str):
 
 
 def _subdivided(inst: Instance) -> Instance:
-    eta = default_eta(inst.graph)
-    sub, _ = subdivide_edges(inst.graph, eta)
-    return make_instance(
-        sub, [(p.s, p.t) for p in inst.pairs], [list(e) for e in inst.schedule]
-    )
+    sub, _ = subdivide_edges(inst.graph, default_eta(inst.graph))
+    return replace(inst, graph=sub)
 
 
 def cmd_generate(args) -> int:
@@ -153,38 +132,44 @@ def cmd_run(args) -> int:
     trace = run_greedy(inst, rule)
     if args.trace_out:
         _write(args.trace_out, serialize_trace(trace))
-    opt_w = tstar_w = ratio = None
-    verdicts = []
+    opt_w, tstar_w, capped = None, None, False
     if not args.no_opt:
         try:
             forest, tstar_w = exact_optima(inst)
         except CapExceededError:
-            verdicts.append("opt:skipped-cap")
+            capped = True
         else:
             opt_w = forest.weight
-            ratio = trace.total_cost / opt_w if opt_w else None
-            verdicts.append("opt<=greedy:" + str(opt_w <= trace.total_cost).lower())
     # an infinite contraction dominates the max; the min ignores it
     finite = [c for c in trace.contraction if c is not None]
-    values = RunValues(
-        trace.total_cost,
-        opt_w,
-        tstar_w,
-        ratio,
-        min(finite) if finite else None,
-        max(finite) if finite and len(finite) == trace.k else None,
-    )
-    row = {"instance": inst.digest(), "rule": f"rule{rule.value}", "k": inst.k}
-    for name, value in asdict(values).items():
-        if value is None:
-            row[name] = row[f"{name}_dec"] = "inf" if name in CONTRACTION_COLUMNS else ""
-        else:
-            row[name], row[f"{name}_dec"] = format_fraction(value), frac_decimal(value)
-    row["verdicts"] = ";".join(verdicts)
+    low = min(finite) if finite else None
+    high = max(finite) if finite and len(finite) == trace.k else None
+    values = (trace.total_cost, opt_w, tstar_w, low, high)
+    row = _run_row(inst.digest(), rule, inst.k, values, capped)
     if args.csv:
         _append_run_row(args.csv, row)
     print(json.dumps(row, sort_keys=True))
     return 0
+
+
+def _run_row(digest: str, rule: Rule, k: int, values: tuple, capped: bool) -> dict:
+    """The one definition of a run row, which `report` writes back from each
+    row's inputs.  `values` holds greedy's cost, OPT, T* and the least and
+    greatest contraction, None where absent (unbounded, for a contraction);
+    `capped` says OPT was skipped at the oracle's cap.  The row derives the
+    ratio greedy/OPT (absent when OPT is absent or 0), every `_dec` cell and
+    `verdicts`.  `k` stays an int, as `run` prints it."""
+    greedy, opt, tstar, low, high = values
+    ratio = greedy / opt if opt else None
+    row = {"instance": digest, "rule": f"rule{rule.value}", "k": k}
+    for name, value in zip(VALUE_COLUMNS, (greedy, opt, tstar, ratio, low, high)):
+        if value is None:
+            row[name] = row[f"{name}_dec"] = "inf" if name.startswith("contraction_") else ""
+        else:
+            row[name], row[f"{name}_dec"] = format_fraction(value), frac_decimal(value)
+    verdict = "" if opt is None else "opt<=greedy:" + str(opt <= greedy).lower()
+    row["verdicts"] = "opt:skipped-cap" if capped else verdict
+    return row
 
 
 def _append_run_row(path: str, row: dict):
@@ -262,10 +247,8 @@ def _certify_balanced(args, inst: Instance, trace) -> tuple[dict, bool]:
     K, alpha, delta = _balanced_params(args, inst)
     if args.certificate:
         bd = obj_to_balanced(_load_certificate(args.certificate))
-        # K sets the caps the clauses check, so the command fixes it, not the
-        # file, under the precondition building checks
-        if K < inst.k:
-            raise InputError(f"K={K} below the pair count {inst.k}")
+        # building's preconditions hold; K sets the clauses' caps, so the command fixes it
+        balanced_classes(trace, inst, K, delta, alpha)
         if bd.K != K:
             raise InputError(f"certificate has K={bd.K}, but this command has K={K}")
     else:
@@ -390,15 +373,11 @@ def cmd_audit(args) -> int:
             "rule1<=rule3": totals["rule1"] <= totals["rule3"],
             "rule3<=rule2": totals["rule3"] <= totals["rule2"],
         }
-        print(
-            json.dumps(
-                {
-                    "totals": {k: format_fraction(v) for k, v in totals.items()},
-                    "whole_run_dominance": dominance,
-                },
-                sort_keys=True,
-            )
-        )
+        payload = {
+            "totals": {k: format_fraction(v) for k, v in totals.items()},
+            "whole_run_dominance": dominance,
+        }
+        print(json.dumps(payload, sort_keys=True))
         return 0  # informational: whole-run dominance is logged, not asserted
     if args.kind == "potential":
         inst = _load_instance(args.instance)
@@ -411,17 +390,13 @@ def cmd_audit(args) -> int:
         monotone = all(step["non_increasing"] for step in log["steps"])
         weight = sum((inst.graph.edges[ei][2] for ei in forest), Fraction(0))
         ok = monotone and weight <= 2 * opt.weight
-        print(
-            json.dumps(
-                {
-                    "potential_non_increasing": monotone,
-                    "final_weight": format_fraction(weight),
-                    "twice_opt": format_fraction(2 * opt.weight),
-                    "holds": ok,
-                },
-                sort_keys=True,
-            )
-        )
+        payload = {
+            "potential_non_increasing": monotone,
+            "final_weight": format_fraction(weight),
+            "twice_opt": format_fraction(2 * opt.weight),
+            "holds": ok,
+        }
+        print(json.dumps(payload, sort_keys=True))
         return 0 if ok else 1
     # argparse's choices leave only "conservation"
     # the reader refuses a step that changes the total and an end state that
@@ -431,61 +406,86 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def _bucket(contraction: str) -> str:
-    """The histogram bucket [2^e, 2^(e+1)) of a contraction cell, or "inf"."""
-    if contraction == "inf":
+def _bucket(contraction: Optional[Fraction]) -> str:
+    """The histogram bucket [2^e, 2^(e+1)) of a contraction, or "inf" for None."""
+    if contraction is None:
         return "inf"
-    e = floor_log2(parse_fraction(contraction))
+    e = floor_log2(contraction)
     return f"[2^{e},2^{e + 1})"
 
 
+# how `report` parses each input column of a run row, in column order; a
+# value that may be absent is None in a cell of "" or "inf"
+ROW_INPUTS = {
+    "rule": Rule.parse,
+    "k": int,
+    "greedy_cost": parse_fraction,
+    **dict.fromkeys(
+        ("opt_cost", "tstar_cost", "contraction_min", "contraction_max"),
+        lambda cell: None if cell in ("", "inf") else parse_fraction(cell),
+    ),
+}
+
+
+def _row_inputs(r: dict) -> dict:
+    """The inputs of a run CSV row, parsed.  Only a row that `_run_row` of
+    them writes back cell for cell states any; any other row is refused,
+    naming the first column at fault."""
+    if None in r or None in r.values():
+        raise ParseError(f"expected {len(RUN_CSV_FIELDS)} cells")
+    if not re.fullmatch(r"[0-9a-f]{64}", r["instance"]):
+        raise ParseError(f"column 'instance' is not a SHA-256 hex digest: {r['instance']!r}")
+    inputs = {}
+    for column, parse in ROW_INPUTS.items():
+        try:
+            inputs[column] = parse(r[column])
+        except (GreedysfError, ValueError) as exc:
+            raise ParseError(f"column {column!r} does not parse: {exc}") from exc
+    rule, k, greedy, opt, tstar, low, high = inputs.values()
+    capped = r["verdicts"] == "opt:skipped-cap"
+    # inputs `run` never writes, which the write-back cannot see
+    if k < 0:
+        raise ParseError("column 'k' is negative")
+    if high is not None and (low is None or low > high):
+        raise ParseError("column 'contraction_min' exceeds contraction_max")
+    if (capped or opt is None) and (opt, tstar) != (None, None):
+        named = "opt_cost" if opt is not None else "tstar_cost"
+        raise ParseError(f"column {named!r} is given, but OPT was not computed")
+    written = _run_row(r["instance"], rule, k, (greedy, opt, tstar, low, high), capped)
+    for column in RUN_CSV_FIELDS:
+        if str(written[column]) != r[column]:
+            raise ParseError(f"column {column!r} is not the writer's form of the row's inputs")
+    return inputs
+
+
 def cmd_report(args) -> int:
-    rows = []
-    labels = []
+    rows, labels = [], []
     for path in args.runs:
         reader = csv.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
         if reader.fieldnames != RUN_CSV_FIELDS:
             raise GreedysfError(f"{path}: header does not follow the run-row schema")
         for r in reader:
             try:
-                if None in r or None in r.values():
-                    raise ParseError(f"expected {len(RUN_CSV_FIELDS)} cells")
-                if not re.fullmatch(r"[0-9a-f]{64}", r["instance"]):
-                    raise ParseError(f"instance is not a SHA-256 hex digest: {r['instance']!r}")
-                if r["rule"] not in RULE_CELLS:
-                    raise ParseError(f"rule is not one of {', '.join(RULE_CELLS)}: {r['rule']!r}")
-                if not re.fullmatch(r"0|[1-9][0-9]*", r["k"]):
-                    raise ParseError(f"k is not an integer: {r['k']!r}")
-                ratio_dec = frac_decimal(parse_fraction(r["ratio"])) if r["ratio"] else ""
-                if r["ratio_dec"] != ratio_dec:
-                    raise ParseError(f"ratio_dec {r['ratio_dec']!r} is not the decimal of its ratio")
-                labels.extend(_bucket(r[c]) for c in CONTRACTION_COLUMNS)
+                inputs = _row_inputs(r)
             except GreedysfError as exc:
                 raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+            labels.extend(_bucket(inputs[c]) for c in ("contraction_min", "contraction_max"))
             rows.append(r)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    columns = ["k", "instance", "rule", "ratio", "ratio_dec"]
     ratio_rows = sorted(
         (r for r in rows if r["ratio"] != ""),
         key=lambda r: (int(r["k"]), r["instance"], r["rule"]),
     )
-    with open(out_dir / "ratio_vs_k.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "instance", "rule", "ratio", "ratio_dec"])
-        for r in ratio_rows:
-            writer.writerow([r["k"], r["instance"], r["rule"], r["ratio"], r["ratio_dec"]])
-
-    buckets: dict[str, int] = {}
-    for label in labels:
-        buckets[label] = buckets.get(label, 0) + 1
-    with open(
-        out_dir / "contraction_histogram.csv", "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bucket", "count"])
-        for label in sorted(buckets):
-            writer.writerow([label, buckets[label]])
+    tables = {
+        "ratio_vs_k.csv": [columns, *([r[c] for c in columns] for r in ratio_rows)],
+        "contraction_histogram.csv": [["bucket", "count"], *sorted(Counter(labels).items())],
+    }
+    for name, table in tables.items():
+        with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
     print(f"wrote {out_dir / 'ratio_vs_k.csv'} and {out_dir / 'contraction_histogram.csv'}")
     return 0
 

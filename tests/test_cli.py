@@ -461,6 +461,72 @@ def test_report_cell_that_does_not_parse_exits_2(tmp_path, capsys, column, cell)
     assert not (tmp_path / "r").exists()
 
 
+# the Petersen rule-3 row with some cells changed, and the column its refusal
+# names: one tamper per column, then forged pairs of cells, then rows whose
+# inputs contradict each other
+ROW_TAMPERS = {
+    "instance": ({"instance": "c3ce84aa"}, "instance"),
+    "rule": ({"rule": "rule4"}, "rule"),
+    "k": ({"k": "+3"}, "k"),
+    "greedy_cost": ({"greedy_cost": "banana"}, "greedy_cost"),
+    "greedy_cost_dec": ({"greedy_cost_dec": "7.5"}, "greedy_cost_dec"),
+    "opt_cost": ({"opt_cost": "30/4"}, "opt_cost"),
+    "opt_cost_dec": ({"opt_cost_dec": "7.499999"}, "opt_cost_dec"),
+    "tstar_cost": ({"tstar_cost": "-1/0"}, "tstar_cost"),
+    "tstar_cost_dec": ({"tstar_cost_dec": "9"}, "tstar_cost_dec"),
+    "ratio": ({"ratio": "5/1"}, "ratio"),
+    "ratio_dec": ({"ratio_dec": "1.000001"}, "ratio_dec"),
+    "contraction_min": ({"contraction_min": "2/2"}, "contraction_min"),
+    "contraction_min_dec": ({"contraction_min_dec": "2.000000"}, "contraction_min_dec"),
+    "contraction_max": ({"contraction_max": "1"}, "contraction_max"),
+    "contraction_max_dec": ({"contraction_max_dec": "inf"}, "contraction_max_dec"),
+    "verdicts": ({"verdicts": "anything"}, "verdicts"),
+    "negative_k": ({"k": "-1"}, "k"),
+    "forged_ratio": ({"ratio": "5/1", "ratio_dec": "5.000000"}, "ratio"),
+    "opt_above_greedy": ({"verdicts": "opt<=greedy:false"}, "verdicts"),
+    "unbounded_min_below_a_finite_max": (
+        {"contraction_min": "inf", "contraction_min_dec": "inf"}, "contraction_min"
+    ),
+    "min_above_max": (
+        {"contraction_min": "2/1", "contraction_min_dec": "2.000000"}, "contraction_min"
+    ),
+    "opt_in_a_capped_row": ({"verdicts": "opt:skipped-cap"}, "opt_cost"),
+    "tstar_without_opt": (
+        dict.fromkeys(("opt_cost", "opt_cost_dec", "ratio", "ratio_dec", "verdicts"), ""),
+        "tstar_cost",
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper", list(ROW_TAMPERS))
+def test_report_accepts_only_the_row_run_writes(tmp_path, capsys, tamper):
+    assert list(ROW_TAMPERS)[: len(RUN_CSV_FIELDS)] == RUN_CSV_FIELDS
+    cells, named = ROW_TAMPERS[tamper]
+    csv_path = _petersen_run_csv(tmp_path)
+    row = next(csv.DictReader(csv_path.read_text().splitlines()))
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=RUN_CSV_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerow({**row, **cells})
+    capsys.readouterr()
+    assert run_cli("report", "--runs", csv_path, "--out-dir", tmp_path / "r") == 2
+    err = assert_one_line_error(capsys)
+    assert str(csv_path) in err and "line 2" in err and f"column {named!r}" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_report_accepts_a_row_with_opt_but_no_tree_optimum(tmp_path):
+    # the terminals span two components: OPT is finite, T* absent
+    graph = WeightedGraph(4, [(0, 1, 1), (2, 3, 1)])
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(make_instance(graph, [(0, 1), (2, 3)])))
+    csv_path = tmp_path / "runs.csv"
+    assert run_cli("run", "--instance", path, "--rule", "3", "--csv", csv_path) == 0
+    row = next(csv.DictReader(csv_path.read_text().splitlines()))
+    assert (row["opt_cost"], row["tstar_cost"]) == ("2/1", "")
+    assert run_cli("report", "--runs", csv_path, "--out-dir", tmp_path / "r") == 0
+
+
 def test_run_csv_into_an_empty_file_writes_the_header(tmp_path):
     inst = tmp_path / "pet.json"
     run_cli("generate", "girth", "--cage", "petersen", "--out", inst)
@@ -1187,6 +1253,27 @@ def test_balanced_certificate_k_below_pair_count_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "below the pair count" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "flags,refusal",
+    [
+        (("--alpha", 1000, "--delta", 1), "instance not canonical"),
+        (("--alpha", "1", "--delta", 200, "--K", 2**16), "delta=200 below"),
+    ],
+    ids=["not_canonical", "delta_bound"],
+)
+def test_a_balanced_certificate_is_checked_under_the_builders_preconditions(
+    tmp_path, capsys, flags, refusal
+):
+    # flags that building refuses are refused on the verify path too
+    canon, cert = _balanced_certificate(tmp_path)
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(cert))
+    for verify in ((), ("--certificate", given)):
+        capsys.readouterr()
+        assert run_cli("certify", "--kind", "balanced", "--instance", canon, *flags, *verify) == 2
+        assert refusal in assert_one_line_error(capsys)
 
 
 def _no_balls(cert):
